@@ -99,7 +99,13 @@ impl CheckConfig {
                 (format!("{HOT}threshold.rs"), "push"),
                 (format!("{HOT}lane.rs"), "tick"),
                 (format!("{HOT}lane.rs"), "accumulate_generic"),
-                (format!("{HOT}lane.rs"), "block_exact"),
+                // The register-blocked kernels every FIR and MWI tick runs
+                // (exact and approximate alike), the class products they
+                // read, and the closed-form adder they inline.
+                (format!("{HOT}lane.rs"), "run_blocks"),
+                (format!("{HOT}lane.rs"), "block"),
+                (format!("{HOT}lane.rs"), "fill_products"),
+                (format!("{HOT}lane.rs"), "add"),
                 (format!("{HOT}lane.rs"), "stage_block"),
                 (format!("{HOT}lane.rs"), "stage_block_avx512"),
                 (format!("{HOT}lane.rs"), "stage_block_avx2"),

@@ -147,8 +147,8 @@ impl RippleCarryAdder {
             FullAdderKind::Ama1 => self.add_bits_ama1(a, b),
             FullAdderKind::Ama2 => self.add_bits_ama2(a, b),
             FullAdderKind::Ama3 => self.add_bits_ama3(a, b),
-            FullAdderKind::Ama4 => self.add_bits_wired(a, b, !a),
-            FullAdderKind::Ama5 => self.add_bits_wired(a, b, b),
+            FullAdderKind::Ama4 => self.add_bits_ama4(a, b),
+            FullAdderKind::Ama5 => self.add_bits_ama5(a, b),
         }
     }
 
@@ -164,12 +164,20 @@ impl RippleCarryAdder {
         (1u64 << self.approx_lsbs) - 1
     }
 
+    // The per-kind closed forms below are what `add_bits` dispatches to.
+    // They are public so vector kernels can match the cell kind once per
+    // batch and evaluate the chosen form over many operand pairs; each
+    // takes the same raw-bit operands as `add_bits`, uses this adder's
+    // width and approximate-LSB count whatever its own `kind`, and equals
+    // `add_bits` whenever `kind` names that form and `!is_exact()`.
+
     /// AMA1: the carry chain is exact (its Cout has no error rows); the sum
     /// bit is wrong exactly on rows `(A,B,Cin) = (0,1,1)` (reads 1 instead
     /// of 0) and `(1,0,0)` (reads 0 instead of 1) — both are *flips* of the
     /// exact sum, applied only inside the approximate region.
+    #[must_use]
     #[inline]
-    fn add_bits_ama1(&self, a: u64, b: u64) -> u64 {
+    pub fn add_bits_ama1(&self, a: u64, b: u64) -> u64 {
         let s = a.wrapping_add(b);
         let cin = a ^ b ^ s; // carry-in vector of the exact addition
         let flip = ((!a & b & cin) | (a & !b & !cin)) & self.low_mask();
@@ -178,8 +186,9 @@ impl RippleCarryAdder {
 
     /// AMA2: the carry chain is exact; in the approximate region every sum
     /// bit is the complement of that cell's (exact) carry-out.
+    #[must_use]
     #[inline]
-    fn add_bits_ama2(&self, a: u64, b: u64) -> u64 {
+    pub fn add_bits_ama2(&self, a: u64, b: u64) -> u64 {
         let s = a.wrapping_add(b);
         let cin = a ^ b ^ s;
         let cout = (a & b) | (cin & (a ^ b));
@@ -191,19 +200,35 @@ impl RippleCarryAdder {
     /// generate `A·B` and propagate `A`; since the generate is a subset of
     /// the propagate, its chain is identical to the carry chain of the plain
     /// addition `A + (A·B)`, which one machine add produces for all cells.
+    #[must_use]
     #[inline]
-    fn add_bits_ama3(&self, a: u64, b: u64) -> u64 {
+    pub fn add_bits_ama3(&self, a: u64, b: u64) -> u64 {
         let k = self.approx_lsbs;
         let g = a & b;
         let cin = a ^ g ^ a.wrapping_add(g); // approximate carry-in vector
         let cout = g | (a & cin);
         let low = !cout & self.low_mask();
-        if k >= self.width {
-            return low & self.width_mask();
-        }
+        // Branch-free even when every cell is approximate (k = width ≤ 63):
+        // the high part is then shifted past the width mask.
         let carry = (cin >> k) & 1;
         let hi = (a >> k) + (b >> k) + carry;
         (low | (hi << k)) & self.width_mask()
+    }
+
+    /// AMA4 (`Sum = !A`, `Cout = A`): the approximate region is wiring
+    /// only. Requires at least one approximate cell.
+    #[must_use]
+    #[inline]
+    pub fn add_bits_ama4(&self, a: u64, b: u64) -> u64 {
+        self.add_bits_wired(a, b, !a)
+    }
+
+    /// AMA5 (`Sum = B`, `Cout = A`): the approximate region is wiring
+    /// only. Requires at least one approximate cell.
+    #[must_use]
+    #[inline]
+    pub fn add_bits_ama5(&self, a: u64, b: u64) -> u64 {
+        self.add_bits_wired(a, b, b)
     }
 
     /// Shared closed form for the wiring-only kinds AMA4 (`Sum = !A`) and
@@ -214,10 +239,10 @@ impl RippleCarryAdder {
     fn add_bits_wired(&self, a: u64, b: u64, low_bits: u64) -> u64 {
         let k = self.approx_lsbs;
         let low = low_bits & self.low_mask();
-        if k >= self.width {
-            return low & self.width_mask();
-        }
-        // k ≥ 1 here: k = 0 is the exact fast path.
+        // k ≥ 1 here: k = 0 is the exact fast path. Branch-free even when
+        // every cell is approximate (k = width ≤ 63): the high part is then
+        // shifted past the width mask.
+        debug_assert!(k >= 1, "wired closed form needs an approximate cell");
         let carry = (a >> (k - 1)) & 1;
         let hi = (a >> k) + (b >> k) + carry;
         (low | (hi << k)) & self.width_mask()

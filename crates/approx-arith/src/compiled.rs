@@ -43,7 +43,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::adder::RippleCarryAdder;
 use crate::full_adder::FullAdderKind;
@@ -62,9 +62,15 @@ type LutKey = (u32, u32, Mult2x2Kind, FullAdderKind);
 /// entry at a time rather than wiping the cache.
 const CACHE_CAP: usize = 384;
 
-fn lut_cache() -> &'static Mutex<HashMap<LutKey, Arc<Vec<u16>>>> {
+fn lut_cache() -> MutexGuard<'static, HashMap<LutKey, Arc<Vec<u16>>>> {
     static CACHE: OnceLock<Mutex<HashMap<LutKey, Arc<Vec<u16>>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+    // Entries are inserted whole, so a poisoned lock still guards a
+    // consistent map: recover it rather than failing every later compile
+    // (see `crate::tap`, whose cache does the same).
+    CACHE
+        .get_or_init(|| Mutex::new(HashMap::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Returns the shared product table for a (non-exact) block configuration,
@@ -85,20 +91,20 @@ fn shared_lut(width: u32, local_k: u32, mult: Mult2x2Kind, add: FullAdderKind) -
         (mult, add)
     };
     let key = (width, local_k, mult, add);
-    let cache = lut_cache().lock().expect("LUT cache poisoned");
-    if let Some(hit) = cache.get(&key) {
+    if let Some(hit) = lut_cache().get(&key) {
         return Arc::clone(hit);
     }
-    // Release the lock while building so concurrent workers aren't
-    // serialized behind a miss; a racing duplicate build is harmless (the
-    // loser's table is dropped).
-    drop(cache);
+    // Build without the lock so concurrent workers aren't serialized
+    // behind a miss; a racing duplicate build is harmless (the loser's
+    // table is dropped).
     let built = Arc::new(build_lut(width, local_k, mult, add));
-    let mut cache = lut_cache().lock().expect("LUT cache poisoned");
+    let mut cache = lut_cache();
     while cache.len() >= CACHE_CAP {
         // Shed one arbitrary entry; in-use tables stay alive behind their
         // `Arc`s, so the worst case is a rebuild, never a dangling block.
-        let victim = cache.keys().next().copied().expect("cache non-empty");
+        let Some(victim) = cache.keys().next().copied() else {
+            break;
+        };
         cache.remove(&victim);
     }
     Arc::clone(cache.entry(key).or_insert(built))

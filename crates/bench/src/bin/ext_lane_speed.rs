@@ -18,13 +18,14 @@
 //!
 //! `--check` additionally *gates* on the speedup: the exact pipeline must
 //! reach ≥ 10× aggregate samples/s (vs the scalar baseline) at ≥ 8 lanes
-//! on one core, or the process exits non-zero — CI's bench-smoke job runs
-//! this, with `--json` recording the numbers (`BENCH_pr6.json` at the repo
-//! root holds the committed trajectory). The 10× target assumes AVX-512;
-//! narrower hosts get width-scaled targets (see [`gate_target`]), ratios
-//! are normalized round-adjacent against the scalar baseline so clock
-//! drift cancels, and a failing sweep is remeasured up to
-//! [`GATE_ATTEMPTS`] times before the gate trips.
+//! on one core, and the paper's B9 design ≥ 4× (vs the scalar B9 run), or
+//! the process exits non-zero — CI's bench-smoke job runs this, with
+//! `--json` recording the numbers (`BENCH_pr6.json` at the repo root holds
+//! the committed trajectory). Both targets assume AVX-512; narrower hosts
+//! get width-scaled targets (see [`gate_target`]), ratios are normalized
+//! round-adjacent against the scalar baseline so clock drift cancels, and
+//! a failing sweep is remeasured up to [`GATE_ATTEMPTS`] times before the
+//! gate trips.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -46,15 +47,22 @@ const LANE_COUNTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 /// way.
 const GATE_SPEEDUP: f64 = 10.0;
 
-/// The machine-appropriate speedup target: the full [`GATE_SPEEDUP`] on
-/// AVX-512 hosts (8 × 64-bit lanes), half on AVX2 (4 lanes), and a sanity
-/// floor on the portable SSE2 baseline (no 64-bit vector multiply at all —
-/// the SoA win there is only the amortized tap dispatch).
-fn gate_target(level: &str) -> f64 {
+/// The same target for the paper's B9 design against the scalar B9 run:
+/// its approximate taps are an exact multiply plus one error-table gather
+/// and its sums a closed-form approximate add, so it vectorizes like the
+/// exact pipeline, less the gathers and the (scalar) approximate squarer.
+const GATE_SPEEDUP_B9: f64 = 4.0;
+
+/// The machine-appropriate speedup target for a `full` AVX-512 target:
+/// all of it on AVX-512 hosts (8 × 64-bit lanes), half on AVX2 (4 lanes),
+/// and a fifth as a sanity floor on the portable SSE2 baseline (no 64-bit
+/// vector multiply at all — the SoA win there is only the amortized tap
+/// dispatch).
+fn gate_target(level: &str, full: f64) -> f64 {
     match level {
-        "avx512" => GATE_SPEEDUP,
-        "avx2" => GATE_SPEEDUP / 2.0,
-        _ => 2.0,
+        "avx512" => full,
+        "avx2" => full / 2.0,
+        _ => full / 5.0,
     }
 }
 
@@ -380,23 +388,33 @@ fn main() {
     );
 
     let level = pan_tompkins::simd_level_name();
-    let target = gate_target(level);
-    let mut sweeps = [
-        throughput(PipelineConfig::exact(), "exact"),
-        throughput(PipelineConfig::least_energy([10, 12, 2, 8, 16]), "b9"),
+    let gated = [
+        (
+            PipelineConfig::exact(),
+            "exact",
+            gate_target(level, GATE_SPEEDUP),
+        ),
+        (
+            PipelineConfig::least_energy([10, 12, 2, 8, 16]),
+            "b9",
+            gate_target(level, GATE_SPEEDUP_B9),
+        ),
     ];
+    let mut sweeps = gated.map(|(config, label, _)| throughput(config, label));
     if check {
-        for attempt in 1..GATE_ATTEMPTS {
-            if sweeps[0].best_speedup(GATE_LANES) >= target {
-                break;
-            }
-            eprintln!(
-                "gate below target on attempt {attempt} — remeasuring (transient host load \
-                 can only understate the sustained rate)"
-            );
-            let retry = throughput(PipelineConfig::exact(), "exact");
-            if retry.best_speedup(GATE_LANES) > sweeps[0].best_speedup(GATE_LANES) {
-                sweeps[0] = retry;
+        for (sweep, &(config, label, target)) in sweeps.iter_mut().zip(&gated) {
+            for attempt in 1..GATE_ATTEMPTS {
+                if sweep.best_speedup(GATE_LANES) >= target {
+                    break;
+                }
+                eprintln!(
+                    "{label} gate below target on attempt {attempt} — remeasuring (transient \
+                     host load can only understate the sustained rate)"
+                );
+                let retry = throughput(config, label);
+                if retry.best_speedup(GATE_LANES) > sweep.best_speedup(GATE_LANES) {
+                    *sweep = retry;
+                }
             }
         }
     }
@@ -405,18 +423,24 @@ fn main() {
     }
     let (lane_state, engine_bytes) = state_accounting();
 
-    let gate = sweeps[0].best_speedup(GATE_LANES);
-    println!(
-        "aggregate speedup gate (exact, >= {GATE_LANES} lanes, 1 core): {}x \
-         (target >= {}x at SIMD level {level})",
-        fmt_f64(gate, 2),
-        fmt_f64(target, 0)
-    );
-    if check && gate < target {
-        eprintln!(
-            "FAIL: aggregate lane speedup {gate:.2}x below the {target}x target at \
-             >= {GATE_LANES} lanes (SIMD level {level})"
+    let mut failed = false;
+    for (sweep, &(_, label, target)) in sweeps.iter().zip(&gated) {
+        let gate = sweep.best_speedup(GATE_LANES);
+        println!(
+            "aggregate speedup gate ({label}, >= {GATE_LANES} lanes, 1 core): {}x \
+             (target >= {}x at SIMD level {level})",
+            fmt_f64(gate, 2),
+            fmt_f64(target, 1)
         );
+        if check && gate < target {
+            eprintln!(
+                "FAIL: {label} aggregate lane speedup {gate:.2}x below the {target}x target at \
+                 >= {GATE_LANES} lanes (SIMD level {level})"
+            );
+            failed = true;
+        }
+    }
+    if failed {
         std::process::exit(1);
     }
 

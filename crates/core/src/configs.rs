@@ -105,6 +105,7 @@ pub fn config_by_name(name: &str) -> Option<NamedConfig> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pan_tompkins::DetectorEngine;
 
     #[test]
     fn sixteen_configs_in_paper_order() {
@@ -163,6 +164,44 @@ mod tests {
             let l = c.lsbs();
             assert!(l[0] > 0 && l[2] > 0 && l[4] == 16);
         }
+    }
+
+    /// Every approximate FIR tap of the fourteen B-designs compiles to the
+    /// periodic-error form, so a silent fallback to the full magnitude
+    /// table fails here — and B9's shared tables stay within 64 KiB.
+    #[test]
+    fn every_b_design_tap_compiles_to_the_periodic_form() {
+        let mut approx_taps = 0;
+        for c in paper_configs().iter().filter(|c| c.name.starts_with('B')) {
+            let engine = DetectorEngine::new(c.config);
+            for program in [
+                engine.lpf_program(),
+                engine.hpf_program(),
+                engine.der_program(),
+            ] {
+                if program.arith().is_exact() {
+                    continue;
+                }
+                let taps = program.tap_mults().expect("compiled engine");
+                for (tap, _) in taps.iter().zip(program.taps()).filter(|(_, &k)| k != 0) {
+                    assert!(
+                        tap.is_periodic(),
+                        "{} {} tap {} fell back to the full table",
+                        c.name,
+                        program.name(),
+                        tap.coeff()
+                    );
+                    approx_taps += 1;
+                }
+            }
+            if c.name == "B9" {
+                let bytes = engine.shared_table_bytes();
+                assert!(bytes <= 64 * 1024, "B9 shared tables: {bytes} B");
+            }
+        }
+        // B1-B4: LPF + HPF (11 + 32); B5-B6: DER (4 nonzero);
+        // B7-B14: all three (47).
+        assert_eq!(approx_taps, 4 * 43 + 2 * 4 + 8 * 47);
     }
 
     #[test]

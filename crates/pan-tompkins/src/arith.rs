@@ -128,6 +128,15 @@ impl ArithProgram {
         self.multiplier.width()
     }
 
+    /// The adder block itself — lets vector kernels match its cell kind
+    /// once per batch and evaluate the matching closed form
+    /// ([`approx_arith::RippleCarryAdder::add_bits_ama1`] and siblings)
+    /// over many lanes.
+    #[must_use]
+    pub fn adder(&self) -> approx_arith::RippleCarryAdder {
+        self.adder
+    }
+
     /// The raw adder block: no counting, no overflow bookkeeping.
     #[inline]
     #[must_use]

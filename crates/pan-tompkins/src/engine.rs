@@ -161,8 +161,8 @@ mod tests {
             engine.engine_bytes()
         );
         // 8 distinct tap magnitudes across LPF/HPF/DER at one LSB depth
-        // (see the streaming dedupe test).
-        assert_eq!(engine.shared_table_bytes(), 8 * ((1 << 15) + 1) * 4);
+        // (see the streaming dedupe test), each a 2^4-entry error table.
+        assert_eq!(engine.shared_table_bytes(), 8 * (1 << 4) * 4);
         // Cloning shares the programs rather than recompiling them.
         let clone = engine.clone();
         assert!(Arc::ptr_eq(engine.lpf_program(), clone.lpf_program()));

@@ -7,10 +7,11 @@
 //! (see [`crate::arith::div_round`]), keeping inter-stage signals on the ADC
 //! scale.
 //!
-//! Under the compiled engine every nonzero tap is specialised into a
-//! [`approx_arith::TapMultiplier`] product table at construction, so the
-//! hot loop pays one table lookup per tap instead of a full word-level
-//! multiplier walk — bit-for-bit identical either way (see
+//! Under the compiled engine every tap is specialised into a
+//! [`approx_arith::TapMultiplier`] at construction, so the hot loop pays
+//! one exact multiply plus one small error-table lookup per tap (one
+//! magnitude-table lookup for the rare non-periodic tap) instead of a full
+//! word-level multiplier walk — bit-for-bit identical either way (see
 //! [`crate::arith::ArithBackend::mul_tap`]).
 //!
 //! The immutable half of a filter — taps, gain, compiled tap tables, and
@@ -109,8 +110,10 @@ impl FirProgram {
         &self.arith
     }
 
-    /// The compiled per-tap product tables (compiled engine only).
-    pub(crate) fn tap_mults(&self) -> Option<&[TapMultiplier]> {
+    /// The compiled per-tap multipliers, aligned with
+    /// [`FirProgram::taps`] (compiled engine only).
+    #[must_use]
+    pub fn tap_mults(&self) -> Option<&[TapMultiplier]> {
         self.tap_mults.as_deref()
     }
 
@@ -623,8 +626,9 @@ mod tests {
         // handles, billed once per configuration.
         assert!(approx.heap_bytes() < 1024, "{}", approx.heap_bytes());
         assert!(approx.program().program_bytes() < 1024);
-        // Shared: |±6| dedupes to one table, so 3 distinct magnitudes.
-        assert_eq!(approx.shared_table_bytes(), 3 * ((1 << 15) + 1) * 4);
+        // Shared: |±6| dedupes to one table, so 3 distinct magnitudes,
+        // each a periodic error table of 2^8 `i32` entries.
+        assert_eq!(approx.shared_table_bytes(), 3 * (1 << 8) * 4);
         let exact = FirFilter::new("t", &[1, -6, 6, 31], 1, StageArith::exact());
         assert_eq!(exact.shared_table_bytes(), 0, "exact taps need no tables");
     }

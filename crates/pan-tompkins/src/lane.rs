@@ -7,11 +7,13 @@
 //! exploits that: it batches N [`DetectorTail`]s behind
 //! structure-of-arrays stage state — one delay-line *row* per ring
 //! position holding every lane's sample — so each tick walks the shared
-//! compiled tap tables **once** and applies every tap to a contiguous
-//! lane slice. The per-tap dispatch (tap lookup, zero-skip, coefficient
-//! clamping) is amortized over all lanes and the inner lane loops are
-//! plain clamp/multiply/add over adjacent memory, which the compiler
-//! auto-vectorizes.
+//! compiled taps **once** and applies every tap to a contiguous lane
+//! slice. The per-tap dispatch (tap lookup, zero-skip, coefficient
+//! clamping) is amortized over all lanes, and the inner lane loops —
+//! clamp, multiply (an approximate multiplier's products are computed once
+//! per sample and coefficient magnitude, as the sample enters), and the
+//! adder's closed form over adjacent memory — are register-blocked so the
+//! compiler auto-vectorizes them.
 //!
 //! # Bit-identity contract
 //!
@@ -44,7 +46,7 @@
 
 use std::sync::Arc;
 
-use approx_arith::OpCounter;
+use approx_arith::{FullAdderKind, OpCounter, RippleCarryAdder};
 
 use crate::arith::{div_round, sum_overflows, ArithCounters, ArithProgram};
 use crate::detector::DetectionResult;
@@ -128,6 +130,123 @@ pub fn simd_level_name() -> &'static str {
     }
 }
 
+/// A stage adder as the register-blocked kernels evaluate it. The kernels
+/// are generic over this trait and the adder's cell kind is matched once
+/// per tick ([`with_block_adder!`]), so every instance inlines one
+/// branch-free closed form the compiler can vectorize — instead of the
+/// per-element kind dispatch of [`ArithProgram::add_raw`].
+trait BlockAdd: Copy {
+    /// The adder's result for `a + b`. `wrapped` is the exact sum wrapped
+    /// into the bus and sign-extended, which the kernels compute anyway
+    /// for the overflow test — and which *is* the exact adder's result.
+    fn add(self, a: i64, b: i64, wrapped: i64) -> i64;
+}
+
+/// An exact adder block: plain wrap-around addition.
+#[derive(Clone, Copy)]
+struct WrapAdd;
+
+impl BlockAdd for WrapAdd {
+    #[inline(always)]
+    fn add(self, _a: i64, _b: i64, wrapped: i64) -> i64 {
+        wrapped
+    }
+}
+
+/// An approximate adder block whose LSB cells are `AMA<KIND>`: the
+/// word-level closed form of [`RippleCarryAdder::add`] with the kind
+/// resolved at compile time.
+#[derive(Clone, Copy)]
+struct CellAdd<const KIND: u8> {
+    adder: RippleCarryAdder,
+    /// The adder's `width` significant bits.
+    mask: u64,
+    /// `64 − width`: the sign-extension shift.
+    ext: u32,
+}
+
+impl<const KIND: u8> CellAdd<KIND> {
+    fn new(adder: RippleCarryAdder) -> Self {
+        Self {
+            adder,
+            mask: u64::MAX >> (64 - adder.width()),
+            ext: 64 - adder.width(),
+        }
+    }
+}
+
+impl<const KIND: u8> BlockAdd for CellAdd<KIND> {
+    #[inline(always)]
+    fn add(self, a: i64, b: i64, _wrapped: i64) -> i64 {
+        // Exactly `RippleCarryAdder::add`: wrap the operands into the bus,
+        // run the kind's closed form, sign-extend from bit `width − 1`.
+        let (a, b) = (a as u64 & self.mask, b as u64 & self.mask);
+        let bits = match KIND {
+            1 => self.adder.add_bits_ama1(a, b),
+            2 => self.adder.add_bits_ama2(a, b),
+            3 => self.adder.add_bits_ama3(a, b),
+            4 => self.adder.add_bits_ama4(a, b),
+            _ => self.adder.add_bits_ama5(a, b),
+        };
+        ((bits << self.ext) as i64) >> self.ext
+    }
+}
+
+/// Binds `$add` to the [`BlockAdd`] form of `$adder` — one match on the
+/// cell kind — and evaluates `$body` with it.
+macro_rules! with_block_adder {
+    ($adder:expr, |$add:ident| $body:expr) => {{
+        let adder: RippleCarryAdder = $adder;
+        if adder.is_exact() {
+            let $add = WrapAdd;
+            $body
+        } else {
+            match adder.kind() {
+                FullAdderKind::Accurate => {
+                    let $add = WrapAdd;
+                    $body
+                }
+                FullAdderKind::Ama1 => {
+                    let $add = CellAdd::<1>::new(adder);
+                    $body
+                }
+                FullAdderKind::Ama2 => {
+                    let $add = CellAdd::<2>::new(adder);
+                    $body
+                }
+                FullAdderKind::Ama3 => {
+                    let $add = CellAdd::<3>::new(adder);
+                    $body
+                }
+                FullAdderKind::Ama4 => {
+                    let $add = CellAdd::<4>::new(adder);
+                    $body
+                }
+                FullAdderKind::Ama5 => {
+                    let $add = CellAdd::<5>::new(adder);
+                    $body
+                }
+            }
+        }
+    }};
+}
+
+/// Which tap walk a [`LaneFir`] runs — fixed per program.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FirKernel {
+    /// Exact multiplier and adder: the blocked kernel with native
+    /// products and wrap-around sums.
+    Exact,
+    /// Compiled tap multipliers under an approximate multiplier or adder:
+    /// the blocked kernel reading each tap's product from the
+    /// product-class ring (see [`LaneFir::prods`]) and summing with the
+    /// adder's closed form.
+    Ring,
+    /// The bit-level engine, which has no compiled taps: the per-element
+    /// block dispatch of [`LaneFir::accumulate_generic`].
+    Generic,
+}
+
 /// SoA FIR kernel: one shared program, N lanes of delay-line state laid
 /// out row-major (`delay[pos * lanes + lane]`).
 #[derive(Debug, Clone)]
@@ -153,12 +272,25 @@ struct LaneFir {
     coeff_sats_per_tick: u64,
     mul_limit: i64,
     add_width: u32,
-    /// Whether both arithmetic blocks compute exactly. Exact blocks are
-    /// plain clamp/multiply/wrap arithmetic, so the tick takes a
-    /// branch-free inner loop the compiler auto-vectorizes; the generic
-    /// loop dispatches through the block representations per element and
-    /// cannot. Both loops are bit-identical by construction.
-    exact: bool,
+    /// The tap walk this program takes. The blocked kernels are branch-free
+    /// clamp/multiply/gather/add loops the compiler auto-vectorizes; the
+    /// generic loop dispatches through the block representations per
+    /// element and cannot. All walks are bit-identical by construction.
+    kernel: FirKernel,
+    /// [`FirKernel::Ring`] only: every delayed sample's product with each
+    /// distinct |coefficient| ("class"), signed by the sample, in the
+    /// delay ring's row layout — `prods[(class * rows + row) * lanes +
+    /// lane]`. A sample meets the same |coefficient| at every tap of that
+    /// class, so its product is computed once, on entry: one
+    /// [`approx_arith::TapMultiplier::mul_magnitude_clamped`] per class
+    /// per sample instead of one per tap.
+    prods: Vec<i64>,
+    /// Per class: the first tap of that |coefficient|, whose multiplier
+    /// computes the class products.
+    classes: Vec<usize>,
+    /// Per tap: the offset of its class's ring in [`LaneFir::prods`],
+    /// `class * rows * lanes` (0 for zero taps and other kernels).
+    tap_offsets: Vec<usize>,
 }
 
 impl LaneFir {
@@ -172,12 +304,39 @@ impl LaneFir {
             .iter()
             .filter(|&&c| c != 0 && c.clamp(-mul_limit, mul_limit - 1) != c)
             .count() as u64;
-        let exact = program.arith().is_exact();
-        // The block-exact wrap-compare overflow test requires that no
+        let kernel = if program.arith().is_exact() {
+            FirKernel::Exact
+        } else if program.tap_mults().is_some() {
+            FirKernel::Ring
+        } else {
+            FirKernel::Generic
+        };
+        let mut classes: Vec<usize> = Vec::new();
+        let mut class_mags: Vec<i64> = Vec::new();
+        let mut tap_offsets = vec![0; rows];
+        if kernel == FirKernel::Ring {
+            for (t, &c) in program.taps().iter().enumerate() {
+                // Zero taps are skipped by the walk: no class.
+                if c == 0 {
+                    continue;
+                }
+                let cb = c.clamp(-mul_limit, mul_limit - 1);
+                let class = class_mags
+                    .iter()
+                    .position(|&m| m == cb.abs())
+                    .unwrap_or_else(|| {
+                        class_mags.push(cb.abs());
+                        classes.push(t);
+                        classes.len() - 1
+                    });
+                tap_offsets[t] = class * rows * lanes;
+            }
+        }
+        // The blocked kernels' wrap-compare overflow test requires that no
         // operand can wrap i64: products bounded by a ≤32-bit multiplier,
         // sums by a ≤63-bit bus.
         debug_assert!(program.arith().mul_width() <= 32 && add_width <= 63);
-        Self {
+        let mut fir = Self {
             delay: vec![0; rows * lanes],
             cursor: 0,
             acc: vec![0; lanes],
@@ -188,10 +347,17 @@ impl LaneFir {
             coeff_sats_per_tick,
             mul_limit,
             add_width,
-            exact,
+            kernel,
+            prods: vec![0; classes.len() * rows * lanes],
+            classes,
+            tap_offsets,
             lanes,
             program,
+        };
+        for lane in 0..lanes {
+            fir.refresh_lane_products(lane);
         }
+        fir
     }
 
     /// Advances every lane one sample: `x` is the lane row in, `out` the
@@ -207,28 +373,14 @@ impl LaneFir {
         };
         self.delay[self.cursor * lanes..(self.cursor + 1) * lanes].copy_from_slice(x);
 
-        if self.exact {
-            // Register-blocked exact path: accumulators live in
-            // fixed-width local arrays (vector registers) for the whole
-            // tap walk instead of round-tripping through `self.acc`.
-            let mut lane0 = 0;
-            while lane0 + 16 <= lanes {
-                self.block_exact::<16>(lane0, out);
-                lane0 += 16;
+        match self.kernel {
+            FirKernel::Exact => return self.run_blocks::<false, _>(WrapAdd, out),
+            FirKernel::Ring => {
+                self.fill_products(self.cursor);
+                return with_block_adder!(self.program.arith().adder(), |add| self
+                    .run_blocks::<true, _>(add, out));
             }
-            while lane0 + 8 <= lanes {
-                self.block_exact::<8>(lane0, out);
-                lane0 += 8;
-            }
-            while lane0 + 4 <= lanes {
-                self.block_exact::<4>(lane0, out);
-                lane0 += 4;
-            }
-            while lane0 < lanes {
-                self.block_exact::<1>(lane0, out);
-                lane0 += 1;
-            }
-            return;
+            FirKernel::Generic => {}
         }
         let seeded = self.accumulate_generic();
         if !seeded {
@@ -258,8 +410,8 @@ impl LaneFir {
         }
     }
 
-    /// The generic tap walk: products and sums go through the arithmetic
-    /// block representations (LUT gathers for approximate multipliers).
+    /// The generic tap walk of the bit-level engine: products and sums go
+    /// through the arithmetic block representations per element.
     /// Returns whether any nonzero tap seeded the accumulators.
     #[inline(always)]
     fn accumulate_generic(&mut self) -> bool {
@@ -277,14 +429,13 @@ impl LaneFir {
             ..
         } = self;
         let taps = program.taps();
-        let tap_mults = program.tap_mults();
         let arith = program.arith();
 
         // Wrapping row walk from the newest sample, exactly like the
         // scalar loop's wrapping index.
         let mut row = cursor;
         let mut first = true;
-        for (t, &c) in taps.iter().enumerate() {
+        for &c in taps {
             let frame = &delay[row * lanes..row * lanes + lanes];
             row += 1;
             if row == rows {
@@ -300,10 +451,7 @@ impl LaneFir {
                 for ((slot, s), &a) in acc.iter_mut().zip(sats.iter_mut()).zip(frame) {
                     let ca = a.clamp(-mul_limit, mul_limit - 1);
                     *s += u64::from(ca != a);
-                    *slot = match tap_mults {
-                        Some(tm) => tm[t].mul_clamped(ca),
-                        None => arith.mul_raw_clamped(ca, cb),
-                    };
+                    *slot = arith.mul_raw_clamped(ca, cb);
                 }
                 first = false;
             } else {
@@ -315,10 +463,7 @@ impl LaneFir {
                 {
                     let ca = a.clamp(-mul_limit, mul_limit - 1);
                     *s += u64::from(ca != a);
-                    let p = match tap_mults {
-                        Some(tm) => tm[t].mul_clamped(ca),
-                        None => arith.mul_raw_clamped(ca, cb),
-                    };
+                    let p = arith.mul_raw_clamped(ca, cb);
                     let sum = *slot;
                     *o += u64::from(sum_overflows(sum, p, add_width));
                     *slot = arith.add_raw(sum, p);
@@ -328,18 +473,88 @@ impl LaneFir {
         !first
     }
 
-    /// The exact tap walk for lanes `lane0 .. lane0 + W` — bit-identical
-    /// to [`LaneFir::accumulate_generic`] plus [`FirProgram::rescale`]
-    /// when both blocks are exact, with the per-element block dispatch
-    /// replaced by plain clamp/multiply/wrap arithmetic:
+    /// Computes ring row `row`'s class products for every lane from the
+    /// delayed samples: each class's tap multiplier against the clamped
+    /// sample, signed by the sample alone (each tap applies its own sign).
+    #[inline(always)]
+    fn fill_products(&mut self, row: usize) {
+        let lanes = self.lanes;
+        let rows = self.program.taps().len();
+        let Some(tap_mults) = self.program.tap_mults() else {
+            return;
+        };
+        let x = &self.delay[row * lanes..(row + 1) * lanes];
+        for (class, &t0) in self.classes.iter().enumerate() {
+            let Some(tap) = tap_mults.get(t0) else {
+                continue;
+            };
+            let base = (class * rows + row) * lanes;
+            tap.mul_magnitude_saturating(x, &mut self.prods[base..base + lanes]);
+        }
+    }
+
+    /// Recomputes one lane's class products for every ring row — after
+    /// its delay column was reset or restored.
+    fn refresh_lane_products(&mut self, lane: usize) {
+        let lanes = self.lanes;
+        let rows = self.program.taps().len();
+        let mul_limit = self.mul_limit;
+        let Some(tap_mults) = self.program.tap_mults() else {
+            return;
+        };
+        for (class, &t0) in self.classes.iter().enumerate() {
+            let Some(tap) = tap_mults.get(t0) else {
+                continue;
+            };
+            for row in 0..rows {
+                let ca = self.delay[row * lanes + lane].clamp(-mul_limit, mul_limit - 1);
+                self.prods[(class * rows + row) * lanes + lane] = tap.mul_magnitude_clamped(ca);
+            }
+        }
+    }
+
+    /// Runs [`LaneFir::block`] over every lane of the tick: blocks of 16,
+    /// 8 and 4 lanes, then single lanes, so the kernel's locals stay in
+    /// vector registers and every lane loop has a compile-time trip count.
+    #[inline(always)]
+    fn run_blocks<const RING: bool, A: BlockAdd>(&mut self, add: A, out: &mut [i64]) {
+        let lanes = self.lanes;
+        let mut lane0 = 0;
+        while lane0 + 16 <= lanes {
+            self.block::<16, RING, A>(add, lane0, out);
+            lane0 += 16;
+        }
+        while lane0 + 8 <= lanes {
+            self.block::<8, RING, A>(add, lane0, out);
+            lane0 += 8;
+        }
+        while lane0 + 4 <= lanes {
+            self.block::<4, RING, A>(add, lane0, out);
+            lane0 += 4;
+        }
+        while lane0 < lanes {
+            self.block::<1, RING, A>(add, lane0, out);
+            lane0 += 1;
+        }
+    }
+
+    /// The register-blocked tap walk for lanes `lane0 .. lane0 + W` —
+    /// bit-identical to [`LaneFir::accumulate_generic`] plus
+    /// [`FirProgram::rescale`], with the per-element block dispatch
+    /// replaced by arithmetic the compiler can vectorize:
     ///
-    /// * an exact multiplier computes `ca * cb` (sign-magnitude with an
-    ///   exact product is ordinary multiplication; no i64 overflow, since
-    ///   both operands are clamped to the ≤ 32-bit datapath);
-    /// * an exact adder computes the sum wrapped into the adder width and
-    ///   sign-extended, which `(wrapping_add << k) >> k` reproduces;
-    /// * [`sum_overflows`] is the same branch-free test the scalar backend
-    ///   and the generic loop use.
+    /// * the product of a clamped sample `ca` and clamped coefficient `cb`
+    ///   is `ca * cb` when `RING` is false (an exact sign-magnitude
+    ///   product is ordinary multiplication; no i64 overflow, since both
+    ///   operands are clamped to the ≤ 32-bit datapath). When `RING` is
+    ///   true it is the tap multiplier's product, read from the class ring
+    ///   [`LaneFir::prods`] that [`LaneFir::fill_products`] fills as the
+    ///   sample enters, and negated for a negative coefficient;
+    /// * the sum is `add`'s closed form of the stage adder (for an exact
+    ///   adder, the sum wrapped into the adder width and sign-extended,
+    ///   which `(wrapping_add << k) >> k` reproduces);
+    /// * the overflow test is the wrap-compare form of [`sum_overflows`],
+    ///   the test the scalar backend and the generic loop use.
     ///
     /// The accumulator and counter arrays are `W`-sized locals, so they
     /// live in vector registers across the whole walk (one memory
@@ -347,11 +562,15 @@ impl LaneFir {
     /// compile-time trip count — no runtime vector-width or aliasing
     /// checks inside the tap loop.
     #[inline(always)]
-    fn block_exact<const W: usize>(&mut self, lane0: usize, out: &mut [i64]) {
+    fn block<const W: usize, const RING: bool, A: BlockAdd>(
+        &mut self,
+        add: A,
+        lane0: usize,
+        out: &mut [i64],
+    ) {
         let lanes = self.lanes;
         let mul_limit = self.mul_limit;
-        let add_width = self.add_width;
-        let ext = 64 - add_width;
+        let ext = 64 - self.add_width;
         let rows = self.program.taps().len();
         let taps = self.program.taps();
 
@@ -360,7 +579,7 @@ impl LaneFir {
         let mut ovf = [0u64; W];
         let mut row = self.cursor;
         let mut first = true;
-        for &c in taps {
+        for (&c, &offset) in taps.iter().zip(&self.tap_offsets) {
             let base = row * lanes + lane0;
             row += 1;
             if row == rows {
@@ -375,12 +594,24 @@ impl LaneFir {
             let mut frame = [0i64; W];
             frame.copy_from_slice(&self.delay[base..base + W]);
             let cb = c.clamp(-mul_limit, mul_limit - 1);
+            let mut prod = [0i64; W];
+            if RING {
+                // The class ring shares the delay ring's row layout.
+                prod.copy_from_slice(&self.prods[offset + base..offset + base + W]);
+                // Branch-free negation by the coefficient's sign.
+                let flip = -i64::from(cb < 0);
+                for p in &mut prod {
+                    *p = (*p ^ flip) - flip;
+                }
+            }
             if first {
+                // The first nonzero tap seeds the accumulator — no add,
+                // no overflow test, matching the scalar `Option` chain.
                 for k in 0..W {
                     let a = frame[k];
                     let ca = a.clamp(-mul_limit, mul_limit - 1);
                     sat[k] += u64::from(ca != a);
-                    acc[k] = ca * cb;
+                    acc[k] = if RING { prod[k] } else { ca * cb };
                 }
                 first = false;
             } else {
@@ -388,7 +619,7 @@ impl LaneFir {
                     let a = frame[k];
                     let ca = a.clamp(-mul_limit, mul_limit - 1);
                     sat[k] += u64::from(ca != a);
-                    let p = ca * cb;
+                    let p = if RING { prod[k] } else { ca * cb };
                     // `s` cannot wrap i64 (operands are bounded well below
                     // 2^62 by the ≤32-bit multiplier and ≤63-bit bus), so
                     // `wrapped != s` ⟺ `s` is outside the bus range ⟺
@@ -396,7 +627,7 @@ impl LaneFir {
                     let s = acc[k].wrapping_add(p);
                     let wrapped = (s << ext) >> ext;
                     ovf[k] += u64::from(wrapped != s);
-                    acc[k] = wrapped;
+                    acc[k] = add.add(acc[k], p, wrapped);
                 }
             }
         }
@@ -439,6 +670,7 @@ impl LaneFir {
         for row in self.delay.chunks_exact_mut(self.lanes) {
             row[lane] = 0;
         }
+        self.refresh_lane_products(lane);
         self.sats[lane] = 0;
         self.ovfs[lane] = 0;
     }
@@ -463,11 +695,15 @@ impl LaneFir {
         for (r, &v) in snap.iter().enumerate() {
             self.delay[((self.cursor + r) % rows) * self.lanes + lane] = v;
         }
+        self.refresh_lane_products(lane);
     }
 
     fn heap_bytes(&self) -> usize {
-        (self.delay.capacity() + self.acc.capacity()) * std::mem::size_of::<i64>()
+        (self.delay.capacity() + self.acc.capacity() + self.prods.capacity())
+            * std::mem::size_of::<i64>()
             + (self.sats.capacity() + self.ovfs.capacity()) * std::mem::size_of::<u64>()
+            + self.classes.capacity() * std::mem::size_of::<usize>()
+            + self.tap_offsets.capacity() * std::mem::size_of::<usize>()
     }
 }
 
@@ -496,7 +732,7 @@ impl LaneSqr {
     fn tick(&mut self, x: &[i64], out: &mut [i64]) {
         let limit = self.mul_limit;
         if self.exact {
-            // An exact square is `cv * cv` (see `LaneFir::accumulate_exact`
+            // An exact square is `cv * cv` (see `LaneFir::block`
             // for the fast-path argument); the loop auto-vectorizes.
             for ((o, &v), s) in out.iter_mut().zip(x).zip(self.sats.iter_mut()) {
                 let cv = v.clamp(-limit, limit - 1);
@@ -533,16 +769,13 @@ struct LaneMwi {
     /// Slot-major window: `window[slot * lanes + lane]`.
     window: Vec<i64>,
     cursor: Vec<usize>,
-    acc: Vec<i64>,
     ovfs: Vec<u64>,
     add_width: u32,
-    exact: bool,
 }
 
 impl LaneMwi {
     fn new(program: Arc<ArithProgram>, lanes: usize) -> Self {
         let add_width = program.adder_width();
-        let exact = program.is_exact();
         // Same operand-width precondition as `LaneFir::new`: the squarer
         // feeding this stage is ≤32-bit, the bus ≤63-bit, so the
         // block-exact wrap-compare test cannot see an i64 wrap.
@@ -550,10 +783,8 @@ impl LaneMwi {
         Self {
             window: vec![0; WINDOW * lanes],
             cursor: vec![0; lanes],
-            acc: vec![0; lanes],
             ovfs: vec![0; lanes],
             add_width,
-            exact,
             lanes,
             program,
         }
@@ -562,64 +793,47 @@ impl LaneMwi {
     #[inline(always)]
     fn tick(&mut self, x: &[i64], out: &mut [i64]) {
         let lanes = self.lanes;
-        let add_width = self.add_width;
         for (lane, (&v, cur)) in x.iter().zip(self.cursor.iter_mut()).enumerate() {
             self.window[*cur * lanes + lane] = v;
             *cur = (*cur + 1) % WINDOW;
         }
-        if self.exact {
-            // Register-blocked exact walk (see `LaneFir::block_exact` for
-            // the pattern and the fast-path argument).
-            let mut lane0 = 0;
-            while lane0 + 16 <= lanes {
-                self.block_exact::<16>(lane0, out);
-                lane0 += 16;
-            }
-            while lane0 + 8 <= lanes {
-                self.block_exact::<8>(lane0, out);
-                lane0 += 8;
-            }
-            while lane0 + 4 <= lanes {
-                self.block_exact::<4>(lane0, out);
-                lane0 += 4;
-            }
-            while lane0 < lanes {
-                self.block_exact::<1>(lane0, out);
-                lane0 += 1;
-            }
-            return;
+        // The MWI has no multiplier, so every engine takes the blocked walk.
+        with_block_adder!(self.program.adder(), |add| self.run_blocks(add, out))
+    }
+
+    /// Runs [`LaneMwi::block`] over every lane of the tick, in the lane
+    /// blocks of [`LaneFir::run_blocks`].
+    #[inline(always)]
+    fn run_blocks<A: BlockAdd>(&mut self, add: A, out: &mut [i64]) {
+        let lanes = self.lanes;
+        let mut lane0 = 0;
+        while lane0 + 16 <= lanes {
+            self.block::<16, A>(add, lane0, out);
+            lane0 += 16;
         }
-        let Self {
-            program,
-            window,
-            acc,
-            ovfs,
-            ..
-        } = self;
-        // Storage-order 29-adder chain, like the scalar netlist walk.
-        acc.copy_from_slice(&window[..lanes]);
-        for slot in 1..WINDOW {
-            let row = &window[slot * lanes..(slot + 1) * lanes];
-            for ((slot_acc, o), &v) in acc.iter_mut().zip(ovfs.iter_mut()).zip(row) {
-                let sum = *slot_acc;
-                *o += u64::from(sum_overflows(sum, v, add_width));
-                *slot_acc = program.add_raw(sum, v);
-            }
+        while lane0 + 8 <= lanes {
+            self.block::<8, A>(add, lane0, out);
+            lane0 += 8;
         }
-        for (o, &a) in out.iter_mut().zip(acc.iter()) {
-            *o = div_round(a, WINDOW as i64);
+        while lane0 + 4 <= lanes {
+            self.block::<4, A>(add, lane0, out);
+            lane0 += 4;
+        }
+        while lane0 < lanes {
+            self.block::<1, A>(add, lane0, out);
+            lane0 += 1;
         }
     }
 
-    /// The exact storage-order chain for lanes `lane0 .. lane0 + W`, with
-    /// the accumulator and overflow counter held in `W`-sized locals
-    /// (vector registers) across all [`WINDOW`] slots. Bit-identical to
-    /// the generic walk with an exact adder.
+    /// The storage-order 29-adder chain of the scalar netlist walk for
+    /// lanes `lane0 .. lane0 + W`, with the accumulator and overflow
+    /// counter held in `W`-sized locals (vector registers) across all
+    /// [`WINDOW`] slots and every sum taken by `add`'s closed form of the
+    /// stage adder — exactly [`ArithProgram::add_raw`].
     #[inline(always)]
-    fn block_exact<const W: usize>(&mut self, lane0: usize, out: &mut [i64]) {
+    fn block<const W: usize, A: BlockAdd>(&mut self, add: A, lane0: usize, out: &mut [i64]) {
         let lanes = self.lanes;
-        let add_width = self.add_width;
-        let ext = 64 - add_width;
+        let ext = 64 - self.add_width;
         let window = &self.window;
 
         let mut acc = [0i64; W];
@@ -627,22 +841,22 @@ impl LaneMwi {
         let mut ovf = [0u64; W];
         for slot in 1..WINDOW {
             let base = slot * lanes + lane0;
-            // Same by-value row idiom as `LaneFir::block_exact`: no
-            // fallible cast, contents land in vector registers.
+            // Same by-value row idiom as `LaneFir::block`: no fallible
+            // cast, contents land in vector registers.
             let mut row = [0i64; W];
             row.copy_from_slice(&window[base..base + W]);
             for k in 0..W {
                 let v = row[k];
-                // Same wrap-compare overflow test as `LaneFir::block_exact`
-                // — equivalent to [`sum_overflows`] because no operand can
+                // Same wrap-compare overflow test as `LaneFir::block` —
+                // equivalent to [`sum_overflows`] because no operand can
                 // wrap i64.
                 let s = acc[k].wrapping_add(v);
                 let wrapped = (s << ext) >> ext;
                 ovf[k] += u64::from(wrapped != s);
-                acc[k] = wrapped;
+                acc[k] = add.add(acc[k], v, wrapped);
             }
         }
-        // Zip, not indexing — see `LaneFir::block_exact`.
+        // Zip, not indexing — see `LaneFir::block`.
         for (o, v) in self.ovfs[lane0..lane0 + W].iter_mut().zip(ovf) {
             *o += v;
         }
@@ -681,7 +895,7 @@ impl LaneMwi {
     }
 
     fn heap_bytes(&self) -> usize {
-        (self.window.capacity() + self.acc.capacity()) * std::mem::size_of::<i64>()
+        self.window.capacity() * std::mem::size_of::<i64>()
             + self.cursor.capacity() * std::mem::size_of::<usize>()
             + self.ovfs.capacity() * std::mem::size_of::<u64>()
     }
@@ -841,13 +1055,34 @@ impl LaneBank {
     #[inline(always)]
     fn stage_block(&mut self, ticks: usize) {
         let lanes = self.lanes;
+        let Self {
+            lpf,
+            hpf,
+            der,
+            sqr,
+            mwi,
+            m_x0,
+            m_a,
+            m_b,
+            m_c,
+            m_d,
+            m_e,
+            ..
+        } = self;
+        // The three FIR stages share one loop body, so every SIMD instance
+        // holds a single copy of the FIR kernels.
         for t in 0..ticks {
             let (lo, hi) = (t * lanes, (t + 1) * lanes);
-            self.lpf.tick(&self.m_x0[lo..hi], &mut self.m_a[lo..hi]);
-            self.hpf.tick(&self.m_a[lo..hi], &mut self.m_b[lo..hi]);
-            self.der.tick(&self.m_b[lo..hi], &mut self.m_c[lo..hi]);
-            self.sqr.tick(&self.m_c[lo..hi], &mut self.m_d[lo..hi]);
-            self.mwi.tick(&self.m_d[lo..hi], &mut self.m_e[lo..hi]);
+            for stage in 0..3 {
+                let (fir, x, y) = match stage {
+                    0 => (&mut *lpf, &m_x0[lo..hi], &mut m_a[lo..hi]),
+                    1 => (&mut *hpf, &m_a[lo..hi], &mut m_b[lo..hi]),
+                    _ => (&mut *der, &m_b[lo..hi], &mut m_c[lo..hi]),
+                };
+                fir.tick(x, y);
+            }
+            sqr.tick(&m_c[lo..hi], &mut m_d[lo..hi]);
+            mwi.tick(&m_d[lo..hi], &mut m_e[lo..hi]);
         }
     }
 
@@ -1219,7 +1454,9 @@ impl LaneBank {
     /// One lane's share of the live state: its slice of the SoA stage
     /// state and scratch matrices plus its own tail — the marginal cost of
     /// one more session on the shared engine (~9.3 KB high-water under
-    /// [`crate::Footprint::Bounded`], matching the scalar detector).
+    /// [`crate::Footprint::Bounded`] for exact arithmetic, matching the
+    /// scalar detector; ~10.5 KB for B9, whose approximate FIR taps add
+    /// the product-class ring).
     #[must_use]
     pub fn lane_state_bytes(&self, lane: usize) -> usize {
         self.soa_heap_bytes() / self.lanes
@@ -1242,6 +1479,7 @@ mod tests {
     use crate::arith::MulEngine;
     use crate::config::{Footprint, PipelineConfig};
     use crate::streaming::StreamingQrsDetector;
+    use approx_arith::{Mult2x2Kind, StageArith};
 
     fn pulse_train(n: usize, period: usize, first: usize) -> Vec<i32> {
         let mut signal = vec![0i32; n];
@@ -1328,6 +1566,56 @@ mod tests {
                 StreamingQrsDetector::detect_chunked(config, &signals[lane], 50);
             assert_eq!(events, solo_events, "lane {lane} events");
             assert_eq!(result, solo_result, "lane {lane} result");
+        }
+    }
+
+    /// The blocked kernels against the solo scalar path for every
+    /// elementary-module pair: each adder kind's closed form, periodic and
+    /// exact taps, and a table-fallback tap (V1/AMA1 at k = 16 against the
+    /// LPF's |1|, which fills the class ring like any other tap), over 21
+    /// lanes so every register block width (16, 4, 1) runs, with
+    /// saturating lanes among them.
+    #[test]
+    fn blocked_kernels_match_solo_runs_for_every_module_pair() {
+        let lanes = 21;
+        let signals: Vec<Vec<i32>> = (0..lanes)
+            .map(|l| {
+                let gain = if l % 5 == 4 { 150 } else { 1 };
+                pulse_train(1200, 150 + 3 * l, 160 + 5 * l)
+                    .into_iter()
+                    .map(|v| v * gain)
+                    .collect()
+            })
+            .collect();
+        for mult in Mult2x2Kind::ALL {
+            for add in FullAdderKind::ALL {
+                for lsbs in [[10, 12, 2, 8, 16], [16, 3, 16, 6, 20]] {
+                    let stages = lsbs.map(|k| StageArith::new(k, mult, add));
+                    let config = PipelineConfig::from_stages(stages);
+                    let bank = LaneBank::new(Arc::new(DetectorEngine::new(config)), 1);
+                    let want = if mult.is_accurate() && add.is_accurate() {
+                        FirKernel::Exact
+                    } else {
+                        FirKernel::Ring
+                    };
+                    assert_eq!(bank.lpf.kernel, want, "{config}");
+                    if (mult, add, lsbs[0]) == (Mult2x2Kind::V1, FullAdderKind::Ama1, 16) {
+                        let fallback =
+                            bank.lpf.program.tap_mults().is_some_and(|tm| {
+                                tm.iter().any(|t| !t.is_exact() && !t.is_periodic())
+                            });
+                        assert!(fallback, "{config}: expected a table-fallback LPF tap");
+                    }
+                    for (lane, (events, result)) in
+                        run_bank(config, &signals, 50).into_iter().enumerate()
+                    {
+                        let (solo_events, solo_result) =
+                            StreamingQrsDetector::detect_chunked(config, &signals[lane], 50);
+                        assert_eq!(events, solo_events, "{config} lane {lane} events");
+                        assert_eq!(result, solo_result, "{config} lane {lane} result");
+                    }
+                }
+            }
         }
     }
 

@@ -1446,9 +1446,10 @@ mod tests {
     fn shared_table_accounting_dedupes_across_stages() {
         // All stages at 4 LSBs: tap magnitudes are LPF {1..6}, HPF {1,31},
         // DER {0,1,2} (every tap compiles, zero included) — 11 per-stage
-        // tables but only 8 distinct magnitudes.
+        // tables but only 8 distinct magnitudes, each a periodic error
+        // table of 2^4 `i32` entries.
         let det = StreamingQrsDetector::new(PipelineConfig::least_energy([4, 4, 4, 4, 4]));
-        let table = ((1 << 15) + 1) * 4;
+        let table = (1 << 4) * 4;
         let per_stage_sum = 11 * table;
         assert_eq!(det.shared_table_bytes(), 8 * table);
         assert!(det.shared_table_bytes() < per_stage_sum);
