@@ -1,11 +1,11 @@
-//! The eight invariant passes and the workspace walker that drives them.
+//! The invariant passes and the workspace walker that drives them.
 //!
 //! Every pass consumes [`crate::lexer::FileModel`]s, so none of them can
 //! be fooled by keywords inside strings, raw strings, comments, or
 //! `#[cfg(test)]` modules — the exact failure modes of `grep`-based
 //! enforcement. See `DESIGN.md` §10 for the original rule catalogue and
 //! §13 for the service-era passes (alloc-freedom, blocking-discipline,
-//! cast-audit, schema-drift).
+//! cast-audit, schema-drift, stale-registration).
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -89,14 +89,14 @@ impl CheckConfig {
             unsafe_files: vec![format!("{HOT}lane.rs")],
             dispatch_sites: vec![(format!("{HOT}lane.rs"), "stage_block_dispatch".to_string())],
             design_doc: "DESIGN.md".into(),
-            // PR 10: the per-sample loops of the service era. Streaming
-            // push + ingest, the decision tail, the lane stage kernels,
-            // and the shard workers' tick path may not allocate.
+            // The per-sample loops: the detector push, the decision tail's
+            // block ingestion, the classifier, the lane stage kernels, and
+            // the shard workers' tick path may not allocate.
             alloc_scopes: [
                 (format!("{HOT}streaming.rs"), "push"),
-                (format!("{HOT}streaming.rs"), "push_impl"),
-                (format!("{HOT}streaming.rs"), "ingest"),
+                (format!("{HOT}streaming.rs"), "ingest_batch"),
                 (format!("{HOT}threshold.rs"), "push"),
+                (format!("{HOT}lane.rs"), "ingest"),
                 (format!("{HOT}lane.rs"), "tick"),
                 (format!("{HOT}lane.rs"), "accumulate_generic"),
                 // The register-blocked kernels every FIR and MWI tick runs
@@ -153,8 +153,8 @@ struct SourceFile {
     model: FileModel,
 }
 
-/// Runs all eight passes over the configured tree and returns every
-/// finding, sorted by pass, file, line.
+/// Runs every pass over the configured tree and returns every finding,
+/// sorted by pass, file, line.
 ///
 /// # Errors
 ///
@@ -200,6 +200,7 @@ pub fn analyze(config: &CheckConfig) -> io::Result<Vec<Finding>> {
     blocking_discipline(config, &sources, &mut findings);
     cast_audit(config, &sources, &mut findings);
     schema_drift(config, &sources, &mut findings);
+    stale_registrations(config, &sources, &mut findings);
 
     findings.sort_by(|a, b| {
         (a.pass, &a.file, a.line, &a.message).cmp(&(b.pass, &b.file, b.line, &b.message))
@@ -672,6 +673,39 @@ fn alloc_freedom(config: &CheckConfig, sources: &[SourceFile], out: &mut Vec<Fin
             }
         }
     }
+}
+
+/// Pass 9: every registered alloc scope and dispatch site names a non-test
+/// fn that exists in its file. [`alloc_freedom`] and [`unsafe_audit`]
+/// match registrations by name and skip what they cannot find, so a
+/// renamed or deleted fn would otherwise shrink the audited set without a
+/// word. Reported at line 0 of the registered file.
+fn stale_registrations(config: &CheckConfig, sources: &[SourceFile], out: &mut Vec<Finding>) {
+    let registered = (config.alloc_scopes.iter().map(|r| ("alloc scope", r)))
+        .chain(config.dispatch_sites.iter().map(|r| ("dispatch site", r)));
+    for (kind, (file, name)) in registered {
+        let defined = sources
+            .iter()
+            .any(|f| &f.rel == file && defines_fn(&f.model, name));
+        if !defined {
+            out.push(Finding::new(
+                Pass::Registry,
+                file,
+                0,
+                format!("stale registration: {kind} `{name}` names no fn in this file"),
+            ));
+        }
+    }
+}
+
+/// Does the file define a non-test `fn name`?
+fn defines_fn(m: &FileModel, name: &str) -> bool {
+    m.tokens.iter().enumerate().any(|(i, t)| {
+        t.kind == TokKind::Ident
+            && t.text == "fn"
+            && !m.in_test[i]
+            && next_code_idx(m, i).is_some_and(|j| m.tokens[j].text == name)
+    })
 }
 
 /// Does `Ident :: method (` follow token `i` (e.g. `Box::new(…)`)?

@@ -23,6 +23,8 @@ pub enum Pass {
     Cast,
     /// Snapshot encode/decode schema symmetry.
     Schema,
+    /// Registered scopes and dispatch sites that name no existing fn.
+    Registry,
 }
 
 impl Pass {
@@ -39,6 +41,7 @@ impl Pass {
             Pass::Blocking => "blocking-discipline",
             Pass::Cast => "cast-audit",
             Pass::Schema => "schema-drift",
+            Pass::Registry => "stale-registration",
         }
     }
 
@@ -56,6 +59,7 @@ impl Pass {
             Pass::Blocking,
             Pass::Cast,
             Pass::Schema,
+            Pass::Registry,
         ]
     }
 

@@ -131,6 +131,19 @@ fn seeded_schema_violations_are_reported_with_file_and_line() {
 }
 
 #[test]
+fn stale_registrations_are_reported_per_registered_file() {
+    // `push` was renamed away in loops.rs; dispatch.rs does not exist.
+    let findings = run("stale");
+    assert_hit(&findings, Pass::Registry, "src/loops.rs", 0);
+    assert_hit(&findings, Pass::Registry, "src/dispatch.rs", 0);
+    assert_eq!(
+        findings.len(),
+        2,
+        "unexpected extra findings: {findings:#?}"
+    );
+}
+
+#[test]
 fn seeded_fixture_reports_nothing_else() {
     // The seeded tree contains exactly the violations asserted above —
     // in particular nothing from the #[cfg(test)] modules, the registered

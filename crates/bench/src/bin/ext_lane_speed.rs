@@ -4,20 +4,23 @@
 //! Three sections:
 //!
 //! 1. **Equivalence gate** — pipeline configurations × lane counts × push
-//!    granularities: every lane of a [`LaneBank`] must reproduce its solo
-//!    [`StreamingQrsDetector`] run exactly — event stream, peaks, and every
-//!    operation/saturation/overflow counter. Any divergence exits non-zero.
+//!    granularities: every lane of a [`LaneBank`] must reproduce the scalar
+//!    reference chain ([`detect_reference`]) over its samples exactly —
+//!    event stream, peaks, and every operation/saturation/overflow
+//!    counter. Any divergence exits non-zero.
 //! 2. **Aggregate throughput** — lane-samples/second through banks of 1 to
 //!    32 lanes on one shared [`DetectorEngine`], against the scalar
-//!    streaming detector as baseline. The SoA kernels amortize the per-tap
-//!    dispatch over all lanes and auto-vectorize the inner lane loops, so
-//!    aggregate throughput grows superlinearly in value per core.
-//! 3. **State accounting** — the marginal per-lane live state (the scalar
-//!    bounded ~9.4 KB budget) with the engine and shared tables billed
+//!    reference chain as baseline (the per-sample, per-tap netlist walk —
+//!    a solo `StreamingQrsDetector` is itself a one-lane bank). The SoA
+//!    kernels amortize the per-tap dispatch over all lanes and
+//!    auto-vectorize the inner lane loops, so aggregate throughput grows
+//!    superlinearly in value per core.
+//! 3. **State accounting** — the marginal per-lane live state (the
+//!    bounded ~10 KB budget) with the engine and shared tables billed
 //!    once.
 //!
 //! `--check` additionally *gates* on the speedup: the exact pipeline must
-//! reach ≥ 10× aggregate samples/s (vs the scalar baseline) at ≥ 8 lanes
+//! reach ≥ 10× aggregate samples/s (vs the scalar reference) at ≥ 8 lanes
 //! on one core, and the paper's B9 design ≥ 4× (vs the scalar B9 run), or
 //! the process exits non-zero — CI's bench-smoke job runs this, with
 //! `--json` recording the numbers (`BENCH_pr6.json` at the repo root holds
@@ -31,9 +34,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use hwmodel::report::fmt_f64;
+use pan_tompkins::stages::detect_reference;
 use pan_tompkins::{
     DetectionResult, DetectorEngine, Footprint, LaneBank, PipelineConfig, StreamEvent,
-    StreamingQrsDetector,
 };
 
 /// Lane counts swept by the throughput section.
@@ -124,7 +127,7 @@ fn run_bank(
         .collect()
 }
 
-/// Section 1: every lane of a bank vs its solo scalar run, across
+/// Section 1: every lane of a bank vs the scalar reference chain, across
 /// configurations × lane counts × push granularities. Returns the checked
 /// `(configurations, bank_runs)`; exits non-zero on any divergence.
 fn equivalence_gate() -> (usize, usize) {
@@ -145,7 +148,7 @@ fn equivalence_gate() -> (usize, usize) {
     for config in gate_configs() {
         let solo: Vec<(Vec<StreamEvent>, DetectionResult)> = signals
             .iter()
-            .map(|s| StreamingQrsDetector::detect_chunked(config, s, 64))
+            .map(|s| detect_reference(config, s, 64))
             .collect();
         if solo[0].0.is_empty() {
             eprintln!("DIVERGENCE: {config}: gate workload produced no events (vacuous check)");
@@ -161,7 +164,7 @@ fn equivalence_gate() -> (usize, usize) {
                     if events != solo[lane].0 || result != solo[lane].1 {
                         eprintln!(
                             "DIVERGENCE: {config} lanes {lanes} ticks/push {ticks}: \
-                             lane {lane} != solo scalar run"
+                             lane {lane} != scalar reference chain"
                         );
                         std::process::exit(1);
                     }
@@ -175,7 +178,7 @@ fn equivalence_gate() -> (usize, usize) {
 /// One configuration's throughput sweep.
 struct Throughput {
     label: &'static str,
-    /// Scalar streaming baseline, samples/s (median over rounds).
+    /// Scalar reference-chain baseline, samples/s (median over rounds).
     scalar_rate: f64,
     /// `(lane count, aggregate lane-samples/s, speedup)` rows. The rate is
     /// the median over rounds; the speedup is the median of the *per-round*
@@ -209,9 +212,9 @@ fn median(samples: &mut [f64]) -> f64 {
     }
 }
 
-/// Section 2: aggregate throughput, scalar baseline vs lane banks.
+/// Section 2: aggregate throughput, scalar reference chain vs lane banks.
 ///
-/// Each round times the scalar detector and every lane count back-to-back,
+/// Each round times the reference chain and every lane count back-to-back,
 /// and the gate scores the median of the per-round ratios: the host's
 /// clock wanders between phases (±30% observed), but it cannot wander much
 /// *within* a round, so adjacent normalization keeps the speedup honest.
@@ -239,7 +242,7 @@ fn throughput(config: PipelineConfig, label: &'static str) -> Throughput {
     let mut lane_secs = [[0.0f64; ROUNDS]; LANE_COUNTS.len()];
     for round in 0..ROUNDS {
         let t0 = Instant::now();
-        let (events, _) = StreamingQrsDetector::detect_chunked(config, samples, TICKS_PER_PUSH);
+        let (events, _) = detect_reference(config, samples, TICKS_PER_PUSH);
         scalar_secs[round] = t0.elapsed().as_secs_f64();
         assert!(!events.is_empty(), "scalar baseline produced no events");
         for (i, &lanes) in LANE_COUNTS.iter().enumerate() {
@@ -279,7 +282,7 @@ fn throughput(config: PipelineConfig, label: &'static str) -> Throughput {
 
 fn print_throughput(t: &Throughput) {
     println!(
-        "{} — scalar streaming baseline: {:>12} samples/s",
+        "{} — scalar reference baseline: {:>12} samples/s",
         t.label,
         fmt_f64(t.scalar_rate, 0)
     );
@@ -382,8 +385,8 @@ fn main() {
     let t0 = Instant::now();
     let (configs, bank_runs) = equivalence_gate();
     println!(
-        "equivalence gate: {configs} configurations x {bank_runs} bank runs — every lane == its \
-         solo scalar run ({:.2?})\n",
+        "equivalence gate: {configs} configurations x {bank_runs} bank runs — every lane == the \
+         scalar reference chain ({:.2?})\n",
         t0.elapsed()
     );
 

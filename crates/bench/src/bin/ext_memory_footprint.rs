@@ -72,8 +72,10 @@ fn record_of_len(len: usize) -> EcgRecord {
 }
 
 /// Allowance for live-state bytes that legitimately do not appear in a
-/// snapshot blob: struct sizes (`size_of::<DetectorState>` and friends),
-/// scratch queues, and the slack between `Vec`/`VecDeque` *capacity*
+/// snapshot blob: struct sizes (`size_of::<LaneBank>` and its one
+/// lane's `DetectorTail`), the lane's block scratch matrices (six
+/// 64-tick rows, ~3 KB), scratch queues, and the slack between
+/// `Vec`/`VecDeque` *capacity*
 /// (what [`StreamingQrsDetector::state_bytes`] bills) and *length* (what
 /// the codec serializes) for the fixed-size containers. The growth-
 /// proportional capacity slack of the retained signals is covered

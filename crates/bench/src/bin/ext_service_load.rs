@@ -77,7 +77,7 @@ fn signal_for(combo: Combo, samples: usize) -> Vec<i32> {
     record.samples()[start..(start + samples).min(record.len())].to_vec()
 }
 
-/// The solo reference for a combo: same chunks, fresh scalar detector.
+/// The solo reference for a combo: same chunks, fresh solo detector.
 fn solo_reference(combo: Combo, samples: usize) -> (Vec<StreamEvent>, DetectionResult) {
     let config = configs()[combo.config];
     let signal = signal_for(combo, samples);

@@ -9,11 +9,9 @@
 
 use approx_arith::OpCounter;
 
-use crate::config::{PipelineConfig, StageKind};
-use crate::stages::{
-    Derivative, HighPassFilter, LowPassFilter, MovingWindowIntegrator, Squarer, Stage,
-};
-use crate::threshold::{AdaptiveThreshold, PeakClass, PeakDecision, ThresholdConfig};
+use crate::config::{Footprint, PipelineConfig};
+use crate::streaming::StreamingQrsDetector;
+use crate::threshold::PeakDecision;
 
 /// Delay from the HPF output to the MWI output (derivative + integrator
 /// group delays) — where an MWI peak should sit relative to its HPF peak.
@@ -65,9 +63,10 @@ pub struct OmittedBeat {
 
 /// Result of running the detector over a record.
 ///
-/// Comparable with `==` down to every counter — which is how the streaming
-/// path ([`crate::StreamingQrsDetector`]) is proven bit-identical to the
-/// batch path for every chunking.
+/// Comparable with `==` down to every counter — which is how every
+/// detector is proven bit-identical to the scalar reference chain
+/// ([`crate::stages::detect_reference`]) and to itself under every
+/// chunking.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DetectionResult {
     pub(crate) r_peaks: Vec<usize>,
@@ -196,119 +195,21 @@ impl QrsDetector {
         Self { config }
     }
 
-    /// Overrides the thresholding parameters.
-    #[deprecated(note = "configure via `PipelineConfig::with_threshold`")]
-    #[must_use]
-    pub fn with_threshold(mut self, threshold: ThresholdConfig) -> Self {
-        self.config = self.config.with_threshold(threshold);
-        self
-    }
-
-    /// Overrides the maximum tolerated HPF↔MWI misalignment (samples).
-    #[deprecated(note = "configure via `PipelineConfig::with_max_misalignment`")]
-    #[must_use]
-    pub fn with_max_misalignment(mut self, samples: usize) -> Self {
-        self.config = self.config.with_max_misalignment(samples);
-        self
-    }
-
     /// The pipeline configuration.
     #[must_use]
     pub fn config(&self) -> &PipelineConfig {
         &self.config
     }
 
-    /// Runs the full pipeline and detection over a record's samples.
+    /// Runs the full pipeline and detection over a record's samples: one
+    /// push of a [`Footprint::Retain`] streaming session followed by its
+    /// `finish`, so the result carries every stage signal and decision
+    /// whatever footprint the configuration names.
     #[must_use]
     pub fn detect(&mut self, samples: &[i32]) -> DetectionResult {
-        let engine = self.config.engine();
-        let mut lpf = LowPassFilter::with_engine(self.config.stage(StageKind::Lpf), engine);
-        let mut hpf = HighPassFilter::with_engine(self.config.stage(StageKind::Hpf), engine);
-        let mut der = Derivative::with_engine(self.config.stage(StageKind::Derivative), engine);
-        let mut sqr = Squarer::with_engine(self.config.stage(StageKind::Squarer), engine);
-        let mut mwi =
-            MovingWindowIntegrator::with_engine(self.config.stage(StageKind::Mwi), engine);
-
-        let shift = self.config.input_shift;
-        let n = samples.len();
-        let mut signals = StageSignals {
-            lpf: Vec::with_capacity(n),
-            hpf: Vec::with_capacity(n),
-            der: Vec::with_capacity(n),
-            sqr: Vec::with_capacity(n),
-            mwi: Vec::with_capacity(n),
-        };
-        for &x in samples {
-            let x = i64::from(x) << shift;
-            let a = lpf.process(x);
-            let b = hpf.process(a);
-            let c = der.process(b);
-            let d = sqr.process(c);
-            let e = mwi.process(d);
-            signals.lpf.push(a);
-            signals.hpf.push(b);
-            signals.der.push(c);
-            signals.sqr.push(d);
-            signals.mwi.push(e);
-        }
-
-        let total_delay = lpf.group_delay()
-            + hpf.group_delay()
-            + der.group_delay()
-            + sqr.group_delay()
-            + mwi.group_delay();
-
-        let classifier = AdaptiveThreshold::for_config(&self.config);
-        let decisions = classifier.classify(&signals.mwi);
-
-        let mut r_peaks = Vec::new();
-        let mut omitted = Vec::new();
-        for d in &decisions {
-            if !matches!(d.class, PeakClass::Qrs | PeakClass::SearchBack) {
-                continue;
-            }
-            match check_alignment(&signals.hpf, d.index, self.config.max_misalignment()) {
-                Alignment::Ok { hpf_index } => {
-                    // Map the HPF peak back to raw coordinates via the
-                    // LPF+HPF group delay.
-                    let raw = hpf_index.saturating_sub(PRE_PROCESSING_DELAY);
-                    r_peaks.push(raw);
-                }
-                Alignment::Misaligned {
-                    hpf_index,
-                    misalignment,
-                } => omitted.push(OmittedBeat {
-                    mwi_index: d.index,
-                    hpf_index,
-                    misalignment,
-                }),
-            }
-        }
-        r_peaks.sort_unstable();
-        r_peaks.dedup();
-
-        DetectionResult {
-            r_peaks,
-            omitted,
-            decisions,
-            ops: [lpf.ops(), hpf.ops(), der.ops(), sqr.ops(), mwi.ops()],
-            saturations: [
-                lpf.saturations(),
-                hpf.saturations(),
-                der.saturations(),
-                sqr.saturations(),
-                mwi.saturations(),
-            ],
-            add_overflows: [
-                lpf.add_overflows(),
-                hpf.add_overflows(),
-                der.add_overflows(),
-                sqr.add_overflows(),
-                mwi.add_overflows(),
-            ],
-            signals: Some(signals),
-            total_delay,
-        }
+        let mut detector = StreamingQrsDetector::new(self.config.with_footprint(Footprint::Retain));
+        let _ = detector.push(samples);
+        detector.finish().1
     }
 }
 
@@ -325,7 +226,7 @@ pub(crate) enum Alignment {
 
 /// Finds the dominant |HPF| peak near where an MWI peak at `mwi_index`
 /// implies it should be, and checks the misalignment against the preset
-/// threshold. Shared by the batch and streaming paths; reads only
+/// threshold. Shared by the bounded and retaining stores; reads only
 /// `hpf[expected − 24 ..= expected + 24]` (clipped to the available
 /// signal), which is what bounds the streaming confirmation latency.
 pub(crate) fn check_alignment(hpf: &[i64], mwi_index: usize, max_misalignment: usize) -> Alignment {

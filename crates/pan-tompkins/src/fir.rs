@@ -15,10 +15,11 @@
 //! [`crate::arith::ArithBackend::mul_tap`]).
 //!
 //! The immutable half of a filter — taps, gain, compiled tap tables, and
-//! the arithmetic program — lives in [`FirProgram`] behind an [`Arc`], so
-//! many filter instances (detector sessions, lanes of a
-//! [`crate::lane::LaneBank`]) share one compiled program; the per-instance
-//! [`FirFilter`] carries only the delay line and activity counters.
+//! the arithmetic program — lives in [`FirProgram`] behind an [`Arc`]: the
+//! SoA kernels of [`crate::lane::LaneBank`] run every detector over it.
+//! [`FirFilter`] is the per-sample reference walk of one program (delay
+//! line plus activity counters) that those kernels are proven against —
+//! see [`crate::stages::detect_reference`].
 
 use std::sync::Arc;
 
@@ -29,7 +30,7 @@ use crate::arith::{div_round, ArithBackend, ArithProgram, MulEngine};
 /// The shared immutable half of an FIR filter: coefficient taps, gain, the
 /// compiled per-tap product tables, and the stage's arithmetic program.
 /// Built once per configuration and shared behind an [`Arc`] by every
-/// filter instance (scalar detectors and lane banks alike).
+/// lane bank and reference filter instance.
 #[derive(Debug)]
 pub struct FirProgram {
     name: &'static str,
@@ -232,7 +233,6 @@ pub struct FirFilter {
     backend: ArithBackend,
     delay_line: Vec<i64>,
     cursor: usize,
-    primed: usize,
 }
 
 impl FirFilter {
@@ -281,7 +281,6 @@ impl FirFilter {
             backend,
             delay_line,
             cursor: 0,
-            primed: 0,
         }
     }
 
@@ -344,7 +343,6 @@ impl FirFilter {
             self.cursor - 1
         };
         self.delay_line[self.cursor] = x;
-        self.primed = (self.primed + 1).min(len);
 
         // Walk the delay line with a wrapping index (a conditional reset is
         // markedly cheaper than a modulo per tap in this hot loop).
@@ -381,72 +379,15 @@ impl FirFilter {
     pub fn reset(&mut self) {
         self.delay_line.fill(0);
         self.cursor = 0;
-        self.primed = 0;
-    }
-
-    /// Copies the delay line out rotation-normalized, newest sample first —
-    /// the canonical snapshot order, independent of where the circular
-    /// cursor happens to point.
-    pub(crate) fn delay_snapshot(&self) -> Vec<i64> {
-        let len = self.delay_line.len();
-        (0..len)
-            .map(|r| self.delay_line[(self.cursor + r) % len])
-            .collect()
-    }
-
-    /// Loads a rotation-normalized (newest-first) delay snapshot taken by
-    /// [`FirFilter::delay_snapshot`]. `samples_seen` re-derives the priming
-    /// level. Returns `false` (leaving the filter untouched) on a length
-    /// mismatch.
-    pub(crate) fn load_delay_snapshot(&mut self, snap: &[i64], samples_seen: usize) -> bool {
-        let len = self.delay_line.len();
-        if snap.len() != len {
-            return false;
-        }
-        self.delay_line.copy_from_slice(snap);
-        self.cursor = 0;
-        self.primed = samples_seen.min(len);
-        true
-    }
-
-    /// Mutable backend access for counter restore.
-    pub(crate) fn backend_mut(&mut self) -> &mut ArithBackend {
-        &mut self.backend
     }
 
     /// Resets the backend activity counters (ops, saturations, overflows),
     /// keeping configuration and signal state. Together with
     /// [`FirFilter::reset`] this returns the filter to its
     /// freshly-constructed observable state without recompiling the per-tap
-    /// tables — the record-batched evaluation path relies on that.
+    /// tables.
     pub fn reset_counters(&mut self) {
         self.backend.reset_counters();
-    }
-
-    /// Heap bytes owned by this filter *instance*: the delay line. The
-    /// taps, tap-table handles, and arithmetic program live in the shared
-    /// [`FirProgram`] (billed once per configuration, see
-    /// [`FirProgram::program_bytes`]), and the compiled product tables
-    /// themselves are process-wide shared (see
-    /// [`FirFilter::shared_table_bytes`]) — both are deliberately excluded:
-    /// they are O(distinct configurations), not O(detectors).
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.delay_line.capacity() * std::mem::size_of::<i64>()
-    }
-
-    /// Bytes of the distinct shared product tables this filter references
-    /// (each table counted once even when several taps share it). Shared
-    /// process-wide across all detectors using the same configuration.
-    #[must_use]
-    pub fn shared_table_bytes(&self) -> usize {
-        let mut seen = Vec::new();
-        self.collect_shared_tables(&mut seen)
-    }
-
-    /// See [`FirProgram::collect_shared_tables`].
-    pub(crate) fn collect_shared_tables(&self, seen: &mut Vec<usize>) -> usize {
-        self.program.collect_shared_tables(seen)
     }
 }
 
@@ -621,16 +562,15 @@ mod tests {
 
     #[test]
     fn memory_accounting_separates_owned_from_shared() {
+        let shared = |fir: &FirFilter| fir.program().collect_shared_tables(&mut Vec::new());
         let approx = FirFilter::new("t", &[1, -6, 6, 31], 1, StageArith::least_energy(8));
-        // Instance-owned: just the delay line. Program-owned: taps + tap
-        // handles, billed once per configuration.
-        assert!(approx.heap_bytes() < 1024, "{}", approx.heap_bytes());
+        // Program-owned: taps + tap handles, billed once per configuration.
         assert!(approx.program().program_bytes() < 1024);
         // Shared: |±6| dedupes to one table, so 3 distinct magnitudes,
         // each a periodic error table of 2^8 `i32` entries.
-        assert_eq!(approx.shared_table_bytes(), 3 * (1 << 8) * 4);
+        assert_eq!(shared(&approx), 3 * (1 << 8) * 4);
         let exact = FirFilter::new("t", &[1, -6, 6, 31], 1, StageArith::exact());
-        assert_eq!(exact.shared_table_bytes(), 0, "exact taps need no tables");
+        assert_eq!(shared(&exact), 0, "exact taps need no tables");
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Multi-lane SoA stage kernels: N independent detector sessions advanced
-//! in lockstep through one shared [`DetectorEngine`].
+//! in lockstep through one shared [`DetectorEngine`] — the crate's one
+//! detection datapath. A solo [`crate::StreamingQrsDetector`] is a
+//! one-lane bank, and batch [`crate::QrsDetector::detect`] is one
+//! retaining push of it.
 //!
-//! The streaming detector spends ~99% of its time in the five filter
-//! stages, and the pipeline is embarrassingly lane-parallel across
-//! sessions (monitored patients, leads, corpus records). A [`LaneBank`]
-//! exploits that: it batches N [`DetectorTail`]s behind
+//! A detector spends ~99% of its time in the five filter stages, and the
+//! pipeline is embarrassingly lane-parallel across sessions (monitored
+//! patients, leads, corpus records). A [`LaneBank`] exploits that: it
+//! batches N [`DetectorTail`]s behind
 //! structure-of-arrays stage state — one delay-line *row* per ring
 //! position holding every lane's sample — so each tick walks the shared
 //! compiled taps **once** and applies every tap to a contiguous lane
@@ -18,12 +21,14 @@
 //! # Bit-identity contract
 //!
 //! Every lane's event stream and final [`DetectionResult`] are **bit
-//! identical** to a solo [`crate::StreamingQrsDetector`] run over that
-//! lane's samples — for every chunking, decision arithmetic, footprint,
-//! and multiplier engine. The kernels guarantee this by construction:
+//! identical** to the scalar reference chain
+//! [`crate::stages::detect_reference`] run over that lane's samples — the
+//! per-sample, per-tap netlist walk of [`crate::stages`] — for every
+//! chunking, decision arithmetic, footprint, and multiplier engine. The
+//! kernels guarantee this by construction:
 //!
 //! * FIR products are taken in tap order and accumulated left-to-right
-//!   exactly like the scalar hot loop, so non-associative approximate
+//!   exactly like the reference walk, so non-associative approximate
 //!   adds see the same operand sequence. The ring cursor is shared across
 //!   lanes — legal because an FIR output depends only on delay contents
 //!   *relative* to the cursor, so a freshly zeroed lane column behaves
@@ -34,16 +39,18 @@
 //! * per-sample operation counts are data-independent and therefore
 //!   hoisted to per-lane tick counters, while saturation and overflow
 //!   counts are data-dependent and kept in per-lane arrays updated inside
-//!   the lane loops with the same branch-free tests the scalar backend
+//!   the lane loops with the same branch-free tests the reference backend
 //!   uses ([`sum_overflows`] is shared verbatim);
 //! * everything downstream of the stages — classifier, alignment queue,
-//!   event emission — *is* the scalar code: each lane owns the same
-//!   [`DetectorTail`] the scalar facade drives.
+//!   event emission — is shared code: each lane owns the same
+//!   [`DetectorTail`] the reference chain drives.
 //!
-//! The contract is enforced by the lane-axis cases in
-//! `tests/streaming_equivalence.rs`, the pinned 4-lane golden fixture,
-//! and CI's `ext_lane_speed --check` gate.
+//! The contract is enforced against the reference by the lane-axis cases
+//! in `tests/streaming_equivalence.rs`, this module's unit tests, and CI's
+//! `ext_lane_speed --check` gate, and pinned by the golden fixtures
+//! (`golden_trace`, `golden_lanes`, `golden_snapshot`).
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use approx_arith::{FullAdderKind, OpCounter, RippleCarryAdder};
@@ -61,7 +68,8 @@ use crate::streaming::{DetectorTail, StreamEvent};
 pub struct LaneEvent {
     /// The emitting lane (column index in the pushed frames).
     pub lane: usize,
-    /// The event — identical to what the lane's solo scalar run emits.
+    /// The event — identical to what a solo detector fed the lane's
+    /// samples emits.
     pub event: StreamEvent,
 }
 
@@ -676,8 +684,8 @@ impl LaneFir {
     }
 
     /// One lane's delay column, rotation-normalized newest sample first —
-    /// the same canonical order [`crate::fir::FirFilter::delay_snapshot`]
-    /// emits, so lane and solo snapshots interchange freely.
+    /// the canonical snapshot order, independent of the shared cursor, so
+    /// a lane's snapshot restores into any lane of any bank.
     fn lane_delay_snapshot(&self, lane: usize) -> Vec<i64> {
         let rows = self.program.taps().len();
         (0..rows)
@@ -873,9 +881,8 @@ impl LaneMwi {
         self.ovfs[lane] = 0;
     }
 
-    /// One lane's window column in storage (slot) order — identical to the
-    /// scalar [`crate::stages::MovingWindowIntegrator`] snapshot order, so
-    /// the storage-order adder chain resumes bit-identically.
+    /// One lane's window column in storage (slot) order — the order the
+    /// storage-order adder chain reads, so it resumes bit-identically.
     fn lane_window_snapshot(&self, lane: usize) -> Vec<i64> {
         (0..WINDOW)
             .map(|slot| self.window[slot * self.lanes + lane])
@@ -909,8 +916,8 @@ impl LaneMwi {
 /// [`LaneBank::push`]; harvest a finished lane with
 /// [`LaneBank::finish_lane`], which returns its trailing events and
 /// [`DetectionResult`] and leaves the lane reset, ready for its next
-/// record. Every lane is bit-identical to a solo scalar run (see the
-/// [module docs](self)).
+/// record. Every lane is bit-identical to the scalar reference chain
+/// (see the [module docs](self)).
 ///
 /// # Example
 ///
@@ -955,23 +962,43 @@ pub struct LaneBank {
     sqr: LaneSqr,
     mwi: LaneMwi,
     tails: Vec<DetectorTail>,
-    // Inter-stage scratch matrices: up to [`BLOCK_TICKS`] row-major lane
-    // rows per stage output (`m[t * lanes + lane]`), so the stage kernels
-    // run a whole block before the per-lane tails consume their columns.
-    m_x0: Vec<i64>,
-    m_a: Vec<i64>,
-    m_b: Vec<i64>,
-    m_c: Vec<i64>,
-    m_d: Vec<i64>,
-    m_e: Vec<i64>,
     scratch_events: Vec<StreamEvent>,
 }
 
 /// Ticks the stage kernels advance between tail hand-offs. Large enough to
 /// amortise the per-lane tail-call overhead across a block, small enough
-/// that the six scratch matrices stay cache-resident and the per-lane state
-/// budget holds (`6 * BLOCK_TICKS * 8` bytes of scratch per lane).
+/// that the six [`Scratch`] matrices stay cache-resident.
 const BLOCK_TICKS: usize = 64;
+
+/// Inter-stage scratch matrices: up to [`BLOCK_TICKS`] row-major lane rows
+/// per stage input/output (`m[t * lanes + lane]`), so the stage kernels run
+/// a whole block before the per-lane tails consume their columns.
+#[derive(Debug, Default)]
+struct Scratch {
+    x0: Vec<i64>,
+    a: Vec<i64>,
+    b: Vec<i64>,
+    c: Vec<i64>,
+    d: Vec<i64>,
+    e: Vec<i64>,
+}
+
+thread_local! {
+    /// One [`Scratch`] per thread, lent to whichever bank is pushing. A
+    /// bank holds no scratch between pushes, so a shard with hundreds of
+    /// banks and one-lane solo detectors keeps one block of scratch hot in
+    /// cache instead of ~3 KB per lane of cold ones.
+    static SCRATCH: Cell<Scratch> = const {
+        Cell::new(Scratch {
+            x0: Vec::new(),
+            a: Vec::new(),
+            b: Vec::new(),
+            c: Vec::new(),
+            d: Vec::new(),
+            e: Vec::new(),
+        })
+    };
+}
 
 impl LaneBank {
     /// Creates a bank of `lanes` fresh sessions over a shared engine.
@@ -991,12 +1018,6 @@ impl LaneBank {
             mwi: LaneMwi::new(Arc::clone(engine.mwi_program()), lanes),
             tails: (0..lanes).map(|_| DetectorTail::new(&config)).collect(),
             ticks: vec![0; lanes],
-            m_x0: Vec::new(),
-            m_a: Vec::new(),
-            m_b: Vec::new(),
-            m_c: Vec::new(),
-            m_d: Vec::new(),
-            m_e: Vec::new(),
             scratch_events: Vec::new(),
             lanes,
             engine,
@@ -1053,7 +1074,7 @@ impl LaneBank {
     /// [`SimdLevel`] instance inlines — the multiversions below differ only
     /// in the vector features LLVM may use.
     #[inline(always)]
-    fn stage_block(&mut self, ticks: usize) {
+    fn stage_block(&mut self, m: &mut Scratch, ticks: usize) {
         let lanes = self.lanes;
         let Self {
             lpf,
@@ -1061,12 +1082,6 @@ impl LaneBank {
             der,
             sqr,
             mwi,
-            m_x0,
-            m_a,
-            m_b,
-            m_c,
-            m_d,
-            m_e,
             ..
         } = self;
         // The three FIR stages share one loop body, so every SIMD instance
@@ -1075,14 +1090,14 @@ impl LaneBank {
             let (lo, hi) = (t * lanes, (t + 1) * lanes);
             for stage in 0..3 {
                 let (fir, x, y) = match stage {
-                    0 => (&mut *lpf, &m_x0[lo..hi], &mut m_a[lo..hi]),
-                    1 => (&mut *hpf, &m_a[lo..hi], &mut m_b[lo..hi]),
-                    _ => (&mut *der, &m_b[lo..hi], &mut m_c[lo..hi]),
+                    0 => (&mut *lpf, &m.x0[lo..hi], &mut m.a[lo..hi]),
+                    1 => (&mut *hpf, &m.a[lo..hi], &mut m.b[lo..hi]),
+                    _ => (&mut *der, &m.b[lo..hi], &mut m.c[lo..hi]),
                 };
                 fir.tick(x, y);
             }
-            sqr.tick(&m_c[lo..hi], &mut m_d[lo..hi]);
-            mwi.tick(&m_d[lo..hi], &mut m_e[lo..hi]);
+            sqr.tick(&m.c[lo..hi], &mut m.d[lo..hi]);
+            mwi.tick(&m.d[lo..hi], &mut m.e[lo..hi]);
         }
     }
 
@@ -1101,8 +1116,8 @@ impl LaneBank {
     // undefined. The body is the safe `stage_block` (no raw pointers, no
     // intrinsics): the *only* obligation is the CPU-feature check, which
     // `stage_block_dispatch` performs via `simd_level()` before every call.
-    unsafe fn stage_block_avx512(&mut self, ticks: usize) {
-        self.stage_block(ticks);
+    unsafe fn stage_block_avx512(&mut self, m: &mut Scratch, ticks: usize) {
+        self.stage_block(m, ticks);
     }
 
     /// [`LaneBank::stage_block`] compiled with AVX2 enabled.
@@ -1118,66 +1133,32 @@ impl LaneBank {
     // the safe `stage_block`, so the feature check is the entire
     // obligation; `stage_block_dispatch` establishes it via `simd_level()`
     // before every call.
-    unsafe fn stage_block_avx2(&mut self, ticks: usize) {
-        self.stage_block(ticks);
+    unsafe fn stage_block_avx2(&mut self, m: &mut Scratch, ticks: usize) {
+        self.stage_block(m, ticks);
     }
 
     #[inline]
     #[allow(unsafe_code)]
-    fn stage_block_dispatch(&mut self, ticks: usize, level: SimdLevel) {
+    fn stage_block_dispatch(&mut self, m: &mut Scratch, ticks: usize, level: SimdLevel) {
         match level {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `simd_level()` returns `Avx512` only when
             // `is_x86_feature_detected!` confirmed avx512f+avx512dq+avx512vl
             // on the running CPU — exactly the kernel's precondition.
-            SimdLevel::Avx512 => unsafe { self.stage_block_avx512(ticks) },
+            SimdLevel::Avx512 => unsafe { self.stage_block_avx512(m, ticks) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `simd_level()` returns `Avx2` only when
             // `is_x86_feature_detected!("avx2")` held on the running CPU —
             // exactly the kernel's precondition.
-            SimdLevel::Avx2 => unsafe { self.stage_block_avx2(ticks) },
-            SimdLevel::Baseline => self.stage_block(ticks),
+            SimdLevel::Avx2 => unsafe { self.stage_block_avx2(m, ticks) },
+            SimdLevel::Baseline => self.stage_block(m, ticks),
         }
     }
 
-    fn push_impl(&mut self, frames: &[i32], mut taps: Option<&mut [Vec<i64>]>) -> Vec<LaneEvent> {
-        let lanes = self.lanes;
-        assert_eq!(
-            frames.len() % lanes,
-            0,
-            "frames must be whole ticks: {} samples across {lanes} lanes",
-            frames.len()
-        );
-        let config = *self.engine.config();
-        let shift = config.input_shift;
-        let level = simd_level();
-        for block in frames.chunks(BLOCK_TICKS * lanes) {
-            let ticks = block.len() / lanes;
-            let len = ticks * lanes;
-            self.m_x0.clear();
-            self.m_x0
-                .extend(block.iter().map(|&v| i64::from(v) << shift));
-            self.m_a.resize(len, 0);
-            self.m_b.resize(len, 0);
-            self.m_c.resize(len, 0);
-            self.m_d.resize(len, 0);
-            self.m_e.resize(len, 0);
-            self.stage_block_dispatch(ticks, level);
-            for (lane, tail) in self.tails.iter_mut().enumerate() {
-                let tap = taps.as_mut().map(|t| &mut t[lane]);
-                tail.ingest_batch(
-                    lanes,
-                    lane,
-                    [&self.m_a, &self.m_b, &self.m_c, &self.m_d, &self.m_e],
-                    tap,
-                );
-            }
-            for t in &mut self.ticks {
-                *t += ticks as u64;
-            }
-        }
+    fn push_impl(&mut self, frames: &[i32], taps: Option<&mut [Vec<i64>]>) -> Vec<LaneEvent> {
+        self.ingest(frames, taps);
+        let max_misalignment = self.engine.config().max_misalignment();
         let mut events = Vec::new();
-        let max_misalignment = config.max_misalignment();
         for (lane, tail) in self.tails.iter_mut().enumerate() {
             tail.settle(false, max_misalignment, &mut self.scratch_events);
             events.extend(
@@ -1189,8 +1170,65 @@ impl LaneBank {
         events
     }
 
+    /// The solo detector's push: a one-lane bank's frames are its samples,
+    /// and its events need no lane attribution, so they settle straight
+    /// into the returned vector.
+    pub(crate) fn push_solo(
+        &mut self,
+        samples: &[i32],
+        tap: Option<&mut Vec<i64>>,
+    ) -> Vec<StreamEvent> {
+        debug_assert_eq!(self.lanes, 1, "push_solo drives a one-lane bank");
+        self.ingest(samples, tap.map(std::slice::from_mut));
+        let mut events = Vec::new();
+        self.tails[0].settle(false, self.engine.config().max_misalignment(), &mut events);
+        events
+    }
+
+    /// Advances every lane through `frames` — stage kernels block by block,
+    /// then each lane's tail ingests its column — without settling the
+    /// alignment queues.
+    fn ingest(&mut self, frames: &[i32], mut taps: Option<&mut [Vec<i64>]>) {
+        let lanes = self.lanes;
+        assert_eq!(
+            frames.len() % lanes,
+            0,
+            "frames must be whole ticks: {} samples across {lanes} lanes",
+            frames.len()
+        );
+        let shift = self.engine.config().input_shift;
+        let level = simd_level();
+        // Borrow the thread's scratch for the whole push; a thread already
+        // tearing down its locals gets a fresh one instead of a panic.
+        let mut m = SCRATCH.try_with(Cell::take).unwrap_or_default();
+        for block in frames.chunks(BLOCK_TICKS * lanes) {
+            let ticks = block.len() / lanes;
+            let len = ticks * lanes;
+            // xanalyze: begin-allow(alloc) — the thread's scratch grows to
+            // one block (`BLOCK_TICKS` rows of its widest bank) and is
+            // reused at that capacity by every later block and bank.
+            m.x0.clear();
+            m.x0.extend(block.iter().map(|&v| i64::from(v) << shift));
+            m.a.resize(len, 0);
+            m.b.resize(len, 0);
+            m.c.resize(len, 0);
+            m.d.resize(len, 0);
+            m.e.resize(len, 0);
+            // xanalyze: end-allow(alloc)
+            self.stage_block_dispatch(&mut m, ticks, level);
+            for (lane, tail) in self.tails.iter_mut().enumerate() {
+                let tap = taps.as_mut().map(|t| &mut t[lane]);
+                tail.ingest_batch(lanes, lane, [&m.a, &m.b, &m.c, &m.d, &m.e], tap);
+            }
+            for t in &mut self.ticks {
+                *t += ticks as u64;
+            }
+        }
+        let _ = SCRATCH.try_with(|s| s.set(m));
+    }
+
     /// Ends one lane's stream: flushes its classifier and alignment queue
-    /// (clipped at the record end, like the scalar `finish`), returns its
+    /// (clipped at the record end, like the batch path), returns its
     /// trailing events and complete [`DetectionResult`], and resets the
     /// lane — column state, counters, tail — so it is immediately ready
     /// for its next record, bit-identical to a fresh session. Other lanes
@@ -1205,14 +1243,36 @@ impl LaneBank {
         let config = *self.engine.config();
         let mut events = Vec::new();
         self.tails[lane].finish(config.max_misalignment(), &mut events);
-        let t = self.ticks[lane];
-        let ops = [
+        let (ops, saturations, add_overflows) = self.lane_counters(lane);
+        let total_delay = self.engine.total_delay();
+        let result = self.tails[lane].take_result(ops, saturations, add_overflows, total_delay);
+        self.lpf.reset_lane(lane);
+        self.hpf.reset_lane(lane);
+        self.der.reset_lane(lane);
+        self.sqr.reset_lane(lane);
+        self.mwi.reset_lane(lane);
+        self.ticks[lane] = 0;
+        self.tails[lane].reset(&config);
+        (events, result)
+    }
+
+    /// The five stages' data-independent op counts after `t` samples — the
+    /// hoisted per-tick counts in per-stage form.
+    fn stage_ops(&self, t: u64) -> [OpCounter; 5] {
+        [
             op_counter(t * self.lpf.muls_per_tick, t * self.lpf.adds_per_tick),
             op_counter(t * self.hpf.muls_per_tick, t * self.hpf.adds_per_tick),
             op_counter(t * self.der.muls_per_tick, t * self.der.adds_per_tick),
             op_counter(t, 0),
             op_counter(0, t * (WINDOW as u64 - 1)),
-        ];
+        ]
+    }
+
+    /// One lane's per-stage `(ops, saturations, add_overflows)`: the
+    /// hoisted counts materialized from its tick count, plus the
+    /// data-dependent lane arrays.
+    fn lane_counters(&self, lane: usize) -> ([OpCounter; 5], [u64; 5], [u64; 5]) {
+        let t = self.ticks[lane];
         let saturations = [
             self.lpf.sats[lane] + t * self.lpf.coeff_sats_per_tick,
             self.hpf.sats[lane] + t * self.hpf.coeff_sats_per_tick,
@@ -1227,25 +1287,16 @@ impl LaneBank {
             0,
             self.mwi.ovfs[lane],
         ];
-        let total_delay = self.engine.total_delay();
-        let result = self.tails[lane].take_result(ops, saturations, add_overflows, total_delay);
-        self.lpf.reset_lane(lane);
-        self.hpf.reset_lane(lane);
-        self.der.reset_lane(lane);
-        self.sqr.reset_lane(lane);
-        self.mwi.reset_lane(lane);
-        self.ticks[lane] = 0;
-        self.tails[lane].reset(&config);
-        (events, result)
+        (self.stage_ops(t), saturations, add_overflows)
     }
 
-    /// Serializes one lane's live session into a versioned blob with the
-    /// **same body format** as [`crate::StreamingQrsDetector::snapshot`]:
-    /// a lane snapshot restores into a solo detector, a solo snapshot into
-    /// any bank lane, and lanes migrate between banks of different widths
-    /// and SIMD levels — always resuming bit-identically. The lane's
-    /// hoisted per-tick op counts are materialized into the solo per-stage
-    /// counter form on the way out.
+    /// Serializes one lane's live session into a versioned blob — the
+    /// crate's one snapshot encoder ([`crate::StreamingQrsDetector::snapshot`]
+    /// is this on its single lane): a lane snapshot restores into a solo
+    /// detector, a solo snapshot into any bank lane, and lanes migrate
+    /// between banks of different widths and SIMD levels — always resuming
+    /// bit-identically. The lane's hoisted per-tick op counts are
+    /// materialized into per-stage counters on the way out.
     ///
     /// # Errors
     ///
@@ -1265,28 +1316,7 @@ impl LaneBank {
         w.put_seq_i64(&self.hpf.lane_delay_snapshot(lane));
         w.put_seq_i64(&self.der.lane_delay_snapshot(lane));
         w.put_seq_i64(&self.mwi.lane_window_snapshot(lane));
-        let t = self.ticks[lane];
-        let ops = [
-            op_counter(t * self.lpf.muls_per_tick, t * self.lpf.adds_per_tick),
-            op_counter(t * self.hpf.muls_per_tick, t * self.hpf.adds_per_tick),
-            op_counter(t * self.der.muls_per_tick, t * self.der.adds_per_tick),
-            op_counter(t, 0),
-            op_counter(0, t * (WINDOW as u64 - 1)),
-        ];
-        let saturations = [
-            self.lpf.sats[lane] + t * self.lpf.coeff_sats_per_tick,
-            self.hpf.sats[lane] + t * self.hpf.coeff_sats_per_tick,
-            self.der.sats[lane] + t * self.der.coeff_sats_per_tick,
-            self.sqr.sats[lane],
-            0,
-        ];
-        let add_overflows = [
-            self.lpf.ovfs[lane],
-            self.hpf.ovfs[lane],
-            self.der.ovfs[lane],
-            0,
-            self.mwi.ovfs[lane],
-        ];
+        let (ops, saturations, add_overflows) = self.lane_counters(lane);
         for stage in 0..5 {
             w.put_u64(ops[stage].adds());
             w.put_u64(ops[stage].muls());
@@ -1303,11 +1333,11 @@ impl LaneBank {
     /// Rebuilds one lane from a snapshot blob — taken from a solo
     /// [`crate::StreamingQrsDetector`] or any bank's [`LaneBank::snapshot_lane`]
     /// under the same configuration — replacing whatever session the lane
-    /// was running. Sibling lanes are untouched (the delay column is
+    /// was running. This is the crate's one snapshot decoder. Sibling lanes are untouched (the delay column is
     /// rewritten relative to the shared ring cursor, which is legal by
     /// rotation invariance; the MWI cursor is per-lane).
     ///
-    /// Beyond the container checks, the lane form validates what the SoA
+    /// Beyond the container checks, the decoder validates what the SoA
     /// kernels hoist: the blob's data-independent op counts must equal the
     /// counts its sample count implies, and the FIR saturation totals must
     /// contain the program's constant per-tick coefficient share.
@@ -1364,15 +1394,8 @@ impl LaneBank {
         }
         let n = tail.samples_seen();
         let t = n as u64;
-        let expected_ops = [
-            (t * self.lpf.muls_per_tick, t * self.lpf.adds_per_tick),
-            (t * self.hpf.muls_per_tick, t * self.hpf.adds_per_tick),
-            (t * self.der.muls_per_tick, t * self.der.adds_per_tick),
-            (t, 0),
-            (0, t * (WINDOW as u64 - 1)),
-        ];
-        for (c, &(muls, adds)) in counters.iter().zip(expected_ops.iter()) {
-            if c.ops.muls() != muls || c.ops.adds() != adds {
+        for (c, expected) in counters.iter().zip(self.stage_ops(t)) {
+            if c.ops != expected {
                 return Err(SnapshotError::Corrupt(
                     "stage operation counts do not match the sample count",
                 ));
@@ -1418,21 +1441,15 @@ impl LaneBank {
         Ok(())
     }
 
-    /// Heap bytes of the bank's SoA stage state and scratch matrices — the
-    /// lane-shared kernels, excluding the tails.
+    /// Heap bytes of the bank's SoA stage state — the lane-shared kernels,
+    /// excluding the tails. The block scratch is the thread's, not the
+    /// bank's (see [`SCRATCH`]), and is billed to neither.
     fn soa_heap_bytes(&self) -> usize {
         self.lpf.heap_bytes()
             + self.hpf.heap_bytes()
             + self.der.heap_bytes()
             + self.sqr.heap_bytes()
             + self.mwi.heap_bytes()
-            + (self.m_x0.capacity()
-                + self.m_a.capacity()
-                + self.m_b.capacity()
-                + self.m_c.capacity()
-                + self.m_d.capacity()
-                + self.m_e.capacity())
-                * std::mem::size_of::<i64>()
             + self.ticks.capacity() * std::mem::size_of::<u64>()
     }
 
@@ -1452,11 +1469,10 @@ impl LaneBank {
     }
 
     /// One lane's share of the live state: its slice of the SoA stage
-    /// state and scratch matrices plus its own tail — the marginal cost of
-    /// one more session on the shared engine (~9.3 KB high-water under
-    /// [`crate::Footprint::Bounded`] for exact arithmetic, matching the
-    /// scalar detector; ~10.5 KB for B9, whose approximate FIR taps add
-    /// the product-class ring).
+    /// state plus its own tail — the marginal cost of one more session on
+    /// the shared engine (~7.4 KB high-water for B9 under
+    /// [`crate::Footprint::Bounded`], product-class ring included, in an
+    /// 8-lane bank).
     #[must_use]
     pub fn lane_state_bytes(&self, lane: usize) -> usize {
         self.soa_heap_bytes() / self.lanes
@@ -1464,9 +1480,8 @@ impl LaneBank {
             + self.tails[lane].heap_bytes()
     }
 
-    /// Bytes of the distinct process-wide shared per-tap product tables —
-    /// identical to the scalar detector's accounting, billed once however
-    /// many lanes run. See [`DetectorEngine::shared_table_bytes`].
+    /// Bytes of the distinct process-wide shared per-tap product tables,
+    /// billed once however many lanes run. See [`DetectorEngine::shared_table_bytes`].
     #[must_use]
     pub fn shared_table_bytes(&self) -> usize {
         self.engine.shared_table_bytes()
@@ -1478,6 +1493,7 @@ mod tests {
     use super::*;
     use crate::arith::MulEngine;
     use crate::config::{Footprint, PipelineConfig};
+    use crate::stages::detect_reference;
     use crate::streaming::StreamingQrsDetector;
     use approx_arith::{Mult2x2Kind, StageArith};
 
@@ -1547,8 +1563,7 @@ mod tests {
                 run_bank(config, &signals, 4000),
             ] {
                 for (lane, (events, result)) in lane_results.into_iter().enumerate() {
-                    let (solo_events, solo_result) =
-                        StreamingQrsDetector::detect_chunked(config, &signals[lane], 64);
+                    let (solo_events, solo_result) = detect_reference(config, &signals[lane], 64);
                     assert_eq!(events, solo_events, "{footprint:?} lane {lane} events");
                     assert_eq!(result, solo_result, "{footprint:?} lane {lane} result");
                 }
@@ -1562,14 +1577,13 @@ mod tests {
         let config =
             PipelineConfig::least_energy([8, 10, 2, 8, 16]).with_engine(MulEngine::BitLevel);
         for (lane, (events, result)) in run_bank(config, &signals, 50).into_iter().enumerate() {
-            let (solo_events, solo_result) =
-                StreamingQrsDetector::detect_chunked(config, &signals[lane], 50);
+            let (solo_events, solo_result) = detect_reference(config, &signals[lane], 50);
             assert_eq!(events, solo_events, "lane {lane} events");
             assert_eq!(result, solo_result, "lane {lane} result");
         }
     }
 
-    /// The blocked kernels against the solo scalar path for every
+    /// The blocked kernels against the scalar reference chain for every
     /// elementary-module pair: each adder kind's closed form, periodic and
     /// exact taps, and a table-fallback tap (V1/AMA1 at k = 16 against the
     /// LPF's |1|, which fills the class ring like any other tap), over 21
@@ -1610,7 +1624,7 @@ mod tests {
                         run_bank(config, &signals, 50).into_iter().enumerate()
                     {
                         let (solo_events, solo_result) =
-                            StreamingQrsDetector::detect_chunked(config, &signals[lane], 50);
+                            detect_reference(config, &signals[lane], 50);
                         assert_eq!(events, solo_events, "{config} lane {lane} events");
                         assert_eq!(result, solo_result, "{config} lane {lane} result");
                     }
@@ -1661,11 +1675,11 @@ mod tests {
         let (trailing, result_long) = bank.finish_lane(1);
         lane1.extend(trailing);
 
-        let (e, r) = StreamingQrsDetector::detect_chunked(config, &first, 500);
+        let (e, r) = detect_reference(config, &first, 500);
         assert_eq!((lane0_first, result_first), (e, r), "first record");
-        let (e, r) = StreamingQrsDetector::detect_chunked(config, &second, 500);
+        let (e, r) = detect_reference(config, &second, 500);
         assert_eq!((lane0_second, result_second), (e, r), "reused lane");
-        let (e, r) = StreamingQrsDetector::detect_chunked(config, &long, 500);
+        let (e, r) = detect_reference(config, &long, 500);
         assert_eq!((lane1, result_long), (e, r), "neighbour lane");
     }
 
@@ -1682,10 +1696,13 @@ mod tests {
             let _ = bank.push_tapped(chunk, &mut taps);
         }
         for (lane, signal) in signals.iter().enumerate() {
-            let mut det = StreamingQrsDetector::new(config);
-            let mut solo_tap = Vec::new();
-            let _ = det.push_tapped(signal, &mut solo_tap);
-            assert_eq!(taps[lane], solo_tap, "lane {lane} HPF tap");
+            let (_, reference) =
+                detect_reference(config.with_footprint(Footprint::Retain), signal, 33);
+            assert_eq!(
+                taps[lane],
+                reference.expect_signals().hpf,
+                "lane {lane} HPF tap"
+            );
         }
     }
 
@@ -1741,8 +1758,7 @@ mod tests {
         ] {
             let signal = pulse_train(3000, 170, 200);
             let sibling = pulse_train(3000, 160, 230);
-            let (ref_events, ref_result) =
-                StreamingQrsDetector::detect_chunked(config, &signal, 64);
+            let (ref_events, ref_result) = detect_reference(config, &signal, 64);
 
             // Lane → solo at sample 1100.
             let engine = Arc::new(DetectorEngine::new(config));
@@ -1836,11 +1852,11 @@ mod tests {
         let (trailing, result_long) = bank.finish_lane(1);
         lane1.extend(trailing);
 
-        let (e, r) = StreamingQrsDetector::detect_chunked(config, &first, 64);
+        let (e, r) = detect_reference(config, &first, 64);
         assert_eq!((lane0_first, result_first), (e, r), "first record");
-        let (e, r) = StreamingQrsDetector::detect_chunked(config, &second, 64);
+        let (e, r) = detect_reference(config, &second, 64);
         assert_eq!((lane0_second, result_second), (e, r), "restored re-seed");
-        let (e, r) = StreamingQrsDetector::detect_chunked(config, &long, 64);
+        let (e, r) = detect_reference(config, &long, 64);
         assert_eq!((lane1, result_long), (e, r), "sibling lane");
     }
 
@@ -1896,7 +1912,7 @@ mod tests {
         }
         let (trailing, result) = bank.finish_lane(0);
         events.extend(trailing);
-        let (ref_events, ref_result) = StreamingQrsDetector::detect_chunked(config, &signal, 64);
+        let (ref_events, ref_result) = detect_reference(config, &signal, 64);
         assert_eq!(events, ref_events, "events after failed restores");
         assert_eq!(result, ref_result, "result after failed restores");
     }

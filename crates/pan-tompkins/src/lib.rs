@@ -19,6 +19,12 @@
 //! search-back, plus the HPF↔MWI peak-alignment cross-check whose failure
 //! mode the paper dissects in Fig 13.
 //!
+//! Every detector runs one datapath, the SoA kernels of [`LaneBank`]:
+//! [`StreamingQrsDetector`] is a one-lane bank and [`QrsDetector::detect`]
+//! one retaining push of it. The per-sample stage chain of [`stages`] is
+//! the reference those kernels are proven bit-identical against
+//! ([`stages::detect_reference`]).
+//!
 //! # Example
 //!
 //! ```
@@ -64,5 +70,5 @@ pub use engine::DetectorEngine;
 pub use fir::FirFilter;
 pub use lane::{simd_level_name, LaneBank};
 pub use snapshot::SnapshotError;
-pub use streaming::{DetectorState, StreamEvent, StreamingQrsDetector};
-pub use threshold::{AdaptiveThreshold, OnlineClassifier, ThresholdConfig};
+pub use streaming::{StreamEvent, StreamingQrsDetector};
+pub use threshold::{OnlineClassifier, ThresholdConfig};

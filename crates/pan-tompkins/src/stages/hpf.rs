@@ -52,7 +52,9 @@ impl HighPassFilter {
     /// Creates the stage with an explicit multiplier engine.
     #[must_use]
     pub fn with_engine(arith: StageArith, engine: MulEngine) -> Self {
-        Self::from_program(std::sync::Arc::new(Self::program(arith, engine)))
+        Self {
+            fir: FirFilter::from_program(std::sync::Arc::new(Self::program(arith, engine))),
+        }
     }
 
     /// Compiles the stage's shared [`FirProgram`] (taps, gain, tap tables)
@@ -63,24 +65,6 @@ impl HighPassFilter {
         // `taps()` returns an owned array; FirProgram copies it.
         let t = taps();
         FirProgram::new("HPF", &t, GAIN, arith, engine)
-    }
-
-    /// Creates a stage instance over an existing shared program.
-    #[must_use]
-    pub fn from_program(program: std::sync::Arc<FirProgram>) -> Self {
-        Self {
-            fir: FirFilter::from_program(program),
-        }
-    }
-
-    /// Inner FIR access for the snapshot codec.
-    pub(crate) fn fir(&self) -> &FirFilter {
-        &self.fir
-    }
-
-    /// Mutable inner FIR access for the snapshot codec.
-    pub(crate) fn fir_mut(&mut self) -> &mut FirFilter {
-        &mut self.fir
     }
 }
 
@@ -126,18 +110,6 @@ impl Stage for HighPassFilter {
 
     fn reset_counters(&mut self) {
         self.fir.reset_counters();
-    }
-
-    fn state_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.fir.heap_bytes()
-    }
-
-    fn shared_table_bytes(&self) -> usize {
-        self.fir.shared_table_bytes()
-    }
-
-    fn collect_shared_tables(&self, seen: &mut Vec<usize>) -> usize {
-        self.fir.collect_shared_tables(seen)
     }
 }
 

@@ -46,7 +46,9 @@ impl LowPassFilter {
     /// Creates the stage with an explicit multiplier engine.
     #[must_use]
     pub fn with_engine(arith: StageArith, engine: MulEngine) -> Self {
-        Self::from_program(std::sync::Arc::new(Self::program(arith, engine)))
+        Self {
+            fir: FirFilter::from_program(std::sync::Arc::new(Self::program(arith, engine))),
+        }
     }
 
     /// Compiles the stage's shared [`FirProgram`] (taps, gain, tap tables)
@@ -55,24 +57,6 @@ impl LowPassFilter {
     #[must_use]
     pub fn program(arith: StageArith, engine: MulEngine) -> FirProgram {
         FirProgram::new("LPF", &TAPS, GAIN, arith, engine)
-    }
-
-    /// Creates a stage instance over an existing shared program.
-    #[must_use]
-    pub fn from_program(program: std::sync::Arc<FirProgram>) -> Self {
-        Self {
-            fir: FirFilter::from_program(program),
-        }
-    }
-
-    /// Inner FIR access for the snapshot codec.
-    pub(crate) fn fir(&self) -> &FirFilter {
-        &self.fir
-    }
-
-    /// Mutable inner FIR access for the snapshot codec.
-    pub(crate) fn fir_mut(&mut self) -> &mut FirFilter {
-        &mut self.fir
     }
 }
 
@@ -116,18 +100,6 @@ impl Stage for LowPassFilter {
 
     fn reset_counters(&mut self) {
         self.fir.reset_counters();
-    }
-
-    fn state_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.fir.heap_bytes()
-    }
-
-    fn shared_table_bytes(&self) -> usize {
-        self.fir.shared_table_bytes()
-    }
-
-    fn collect_shared_tables(&self, seen: &mut Vec<usize>) -> usize {
-        self.fir.collect_shared_tables(seen)
     }
 }
 

@@ -1,10 +1,19 @@
 //! The five Pan-Tompkins stages (paper Fig 3), each parameterised by the
-//! stage's approximation triple.
+//! stage's approximation triple — the per-sample *reference* datapath.
 //!
 //! All stages share the [`Stage`] streaming interface; the transfer
 //! functions and operator counts follow the original Pan & Tompkins (1985)
 //! integer realisation expanded to FIR form, which is what the paper's VHDL
 //! implements and counts (§2, §4.2).
+//!
+//! Detection itself runs on the SoA kernels of [`crate::LaneBank`]: a solo
+//! [`crate::StreamingQrsDetector`] is a one-lane bank and a batch
+//! [`crate::QrsDetector::detect`] is one push of it. These stages are the
+//! literal netlist walk, one sample and one tap at a time, that the lane
+//! kernels are proven bit-identical against: [`detect_reference`] drives
+//! them through the same decision tail, and the equivalence proptests, the
+//! lane unit tests, and the `ext_lane_speed` gate compare every lane with
+//! it. No detection path calls it.
 
 pub mod derivative;
 pub mod hpf;
@@ -19,6 +28,10 @@ pub use mwi::MovingWindowIntegrator;
 pub use squarer::Squarer;
 
 use approx_arith::OpCounter;
+
+use crate::config::{PipelineConfig, StageKind};
+use crate::detector::DetectionResult;
+use crate::streaming::{DetectorTail, StreamEvent};
 
 /// Streaming interface shared by all five stages.
 pub trait Stage {
@@ -56,31 +69,64 @@ pub trait Stage {
     /// returns the stage to its freshly-constructed observable state.
     fn reset_counters(&mut self);
 
-    /// Bytes of live per-instance state (stack size of the stage plus its
-    /// owned heap: delay lines, windows, tap-table handles). Excludes the
-    /// process-wide shared product tables, which are O(configurations) —
-    /// see [`crate::FirFilter::shared_table_bytes`].
-    fn state_bytes(&self) -> usize;
-
-    /// Bytes of the process-wide shared per-tap product tables this stage
-    /// references (0 for stages without compiled taps).
-    fn shared_table_bytes(&self) -> usize {
-        let mut seen = Vec::new();
-        self.collect_shared_tables(&mut seen)
-    }
-
-    /// Accumulates this stage's shared-table identities into `seen` and
-    /// returns the bytes of the tables not already seen — callers summing
-    /// across stages pass one `seen` so a table two stages share is billed
-    /// once. Default: no tables.
-    fn collect_shared_tables(&self, _seen: &mut Vec<usize>) -> usize {
-        0
-    }
-
     /// Processes a whole signal (convenience over [`Stage::process`]).
     fn process_signal(&mut self, signal: &[i64]) -> Vec<i64> {
         signal.iter().map(|x| self.process(*x)).collect()
     }
+}
+
+/// Runs `samples` through the scalar reference chain in `chunk`-sample
+/// pushes: the five [`Stage::process`] walks feed the decision tail every
+/// detector shares, which settles at each chunk boundary exactly as
+/// [`crate::StreamingQrsDetector::push`] does. Returns the event stream
+/// (trailing events included) and the final result, which the lane
+/// kernels must reproduce bit for bit — for every configuration,
+/// footprint, decision arithmetic and multiplier engine.
+///
+/// This is the oracle of the lane kernels, not a detection path: it is
+/// slow by design (one multiplier-block walk per tap and sample).
+#[must_use]
+pub fn detect_reference(
+    config: PipelineConfig,
+    samples: &[i32],
+    chunk: usize,
+) -> (Vec<StreamEvent>, DetectionResult) {
+    let engine = config.engine();
+    let mut lpf = LowPassFilter::with_engine(config.stage(StageKind::Lpf), engine);
+    let mut hpf = HighPassFilter::with_engine(config.stage(StageKind::Hpf), engine);
+    let mut der = Derivative::with_engine(config.stage(StageKind::Derivative), engine);
+    let mut sqr = Squarer::with_engine(config.stage(StageKind::Squarer), engine);
+    let mut mwi = MovingWindowIntegrator::with_engine(config.stage(StageKind::Mwi), engine);
+    let mut tail = DetectorTail::new(&config);
+    let mut events = Vec::new();
+    let mut outs: [Vec<i64>; 5] = Default::default();
+    for chunk in samples.chunks(chunk.max(1)) {
+        for out in &mut outs {
+            out.clear();
+        }
+        for &x in chunk {
+            let a = lpf.process(i64::from(x) << config.input_shift);
+            let b = hpf.process(a);
+            let c = der.process(b);
+            let d = sqr.process(c);
+            let e = mwi.process(d);
+            for (out, v) in outs.iter_mut().zip([a, b, c, d, e]) {
+                out.push(v);
+            }
+        }
+        let [a, b, c, d, e] = &outs;
+        tail.ingest_batch(1, 0, [a, b, c, d, e], None);
+        tail.settle(false, config.max_misalignment(), &mut events);
+    }
+    tail.finish(config.max_misalignment(), &mut events);
+    let stages: [&dyn Stage; 5] = [&lpf, &hpf, &der, &sqr, &mwi];
+    let result = tail.take_result(
+        stages.map(Stage::ops),
+        stages.map(Stage::saturations),
+        stages.map(Stage::add_overflows),
+        stages.iter().map(|s| s.group_delay()).sum(),
+    );
+    (events, result)
 }
 
 #[cfg(test)]

@@ -45,46 +45,17 @@ impl MovingWindowIntegrator {
     /// multipliers, so the engine only affects the idle multiplier block).
     #[must_use]
     pub fn with_engine(arith: StageArith, engine: MulEngine) -> Self {
-        Self::from_program(std::sync::Arc::new(Self::program(arith, engine)))
+        Self {
+            backend: ArithBackend::with_engine(arith, engine),
+            window: vec![0; WINDOW],
+            cursor: 0,
+        }
     }
 
     /// Builds the stage's shared [`ArithProgram`] for the given arithmetic.
     #[must_use]
     pub fn program(arith: StageArith, engine: MulEngine) -> ArithProgram {
         ArithProgram::new(arith, engine)
-    }
-
-    /// Creates a stage instance over an existing shared program.
-    #[must_use]
-    pub fn from_program(program: std::sync::Arc<ArithProgram>) -> Self {
-        Self {
-            backend: ArithBackend::from_program(program),
-            window: vec![0; WINDOW],
-            cursor: 0,
-        }
-    }
-
-    /// The window contents in storage order (snapshot support). The cursor
-    /// is not exposed: it is always `samples_seen % WINDOW` because
-    /// [`Stage::process`] writes then increments.
-    pub(crate) fn window(&self) -> &[i64] {
-        &self.window
-    }
-
-    /// Loads a storage-order window snapshot and re-derives the cursor from
-    /// `samples_seen`. Returns `false` (untouched) on a length mismatch.
-    pub(crate) fn load_window(&mut self, snap: &[i64], samples_seen: usize) -> bool {
-        if snap.len() != self.window.len() {
-            return false;
-        }
-        self.window.copy_from_slice(snap);
-        self.cursor = samples_seen % WINDOW;
-        true
-    }
-
-    /// Mutable backend access for the snapshot codec.
-    pub(crate) fn backend_mut(&mut self) -> &mut ArithBackend {
-        &mut self.backend
     }
 }
 
@@ -138,10 +109,6 @@ impl Stage for MovingWindowIntegrator {
 
     fn reset_counters(&mut self) {
         self.backend.reset_counters();
-    }
-
-    fn state_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.window.capacity() * std::mem::size_of::<i64>()
     }
 }
 

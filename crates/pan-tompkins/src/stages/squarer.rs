@@ -37,26 +37,15 @@ impl Squarer {
     /// Creates the stage with an explicit multiplier engine.
     #[must_use]
     pub fn with_engine(arith: StageArith, engine: MulEngine) -> Self {
-        Self::from_program(std::sync::Arc::new(Self::program(arith, engine)))
+        Self {
+            backend: ArithBackend::with_engine(arith, engine),
+        }
     }
 
     /// Builds the stage's shared [`ArithProgram`] for the given arithmetic.
     #[must_use]
     pub fn program(arith: StageArith, engine: MulEngine) -> ArithProgram {
         ArithProgram::new(arith, engine)
-    }
-
-    /// Creates a stage instance over an existing shared program.
-    #[must_use]
-    pub fn from_program(program: std::sync::Arc<ArithProgram>) -> Self {
-        Self {
-            backend: ArithBackend::from_program(program),
-        }
-    }
-
-    /// Mutable backend access for the snapshot codec.
-    pub(crate) fn backend_mut(&mut self) -> &mut ArithBackend {
-        &mut self.backend
     }
 }
 
@@ -97,11 +86,6 @@ impl Stage for Squarer {
 
     fn reset_counters(&mut self) {
         self.backend.reset_counters();
-    }
-
-    fn state_bytes(&self) -> usize {
-        // Point-wise: no delay line, no heap beyond the backend itself.
-        std::mem::size_of::<Self>()
     }
 }
 

@@ -12,23 +12,29 @@
 //! `tests/streaming_equivalence.rs` and by CI's `ext_streaming_speed
 //! --check` gate.
 //!
-//! # The state/engine split
+//! # One datapath
 //!
 //! A detector session is two halves:
 //!
 //! * a [`DetectorEngine`] (see [`crate::engine`]) — the configuration and
 //!   the five compiled stage programs, immutable while samples flow,
 //!   constructed once and shared behind an [`Arc`];
-//! * a [`DetectorState`] — the per-session mutable state: stage delay
-//!   lines, the MWI window, the classifier, and the alignment/event
-//!   bookkeeping (the [`DetectorTail`]).
+//! * the per-session mutable state — stage delay lines, the MWI window,
+//!   and the decision tail ([`DetectorTail`]: classifier plus
+//!   alignment/event bookkeeping) — held in a lane of a [`LaneBank`].
 //!
-//! [`StreamingQrsDetector`] is a thin facade bundling one `Arc`'d engine
-//! with one state, so existing call sites keep working; fleet deployments
-//! (many sessions, one configuration) build the engine once and call
-//! [`StreamingQrsDetector::from_engine`] — or batch whole groups of
-//! sessions through [`crate::LaneBank`], which drives many states across
-//! the shared programs in lockstep.
+//! [`StreamingQrsDetector`] is a thin facade over a **one-lane**
+//! [`LaneBank`]: every method delegates to lane 0, so solo streaming,
+//! batch [`crate::QrsDetector::detect`] (one retaining push), and fleets
+//! of lanes all run the same SoA kernels, and a session snapshot is the
+//! lane codec's blob. Fleet deployments (many sessions, one configuration)
+//! build the engine once and call [`StreamingQrsDetector::from_engine`],
+//! or batch whole groups of sessions through a wider [`LaneBank`].
+//!
+//! The per-sample stage chain of [`crate::stages`] survives only as the
+//! reference those kernels are proven against —
+//! [`crate::stages::detect_reference`] drives it through the same
+//! [`DetectorTail`].
 //!
 //! # How the pipeline streams
 //!
@@ -123,11 +129,9 @@ use crate::detector::{
     ALIGNMENT_SEARCH, HPF_TO_MWI_DELAY, PRE_PROCESSING_DELAY,
 };
 use crate::engine::DetectorEngine;
-use crate::snapshot::{self, Reader, SnapshotError, Writer};
-use crate::stages::{
-    Derivative, HighPassFilter, LowPassFilter, MovingWindowIntegrator, Squarer, Stage,
-};
-use crate::threshold::{OnlineClassifier, PeakClass, PeakDecision, ThresholdConfig};
+use crate::lane::LaneBank;
+use crate::snapshot::{Reader, SnapshotError, Writer};
+use crate::threshold::{OnlineClassifier, PeakClass, PeakDecision};
 
 /// One incremental detection outcome emitted by
 /// [`StreamingQrsDetector::push`].
@@ -175,16 +179,9 @@ struct HpfRing {
 }
 
 impl HpfRing {
-    fn push(&mut self, v: i64) {
-        // xanalyze: begin-allow(alloc) — amortized ring append: the prune
-        // floor keeps the deque at a bounded steady-state capacity, so no
-        // reallocation happens after warm-up.
-        self.buf.push_back(v);
-        // xanalyze: end-allow(alloc)
-    }
-
-    /// Bulk [`HpfRing::push`] — `VecDeque::extend` reserves once for the
-    /// whole batch instead of growth-checking per element.
+    /// Appends a batch of HPF samples — `VecDeque::extend` reserves once
+    /// for the whole batch, and the prune floor keeps the deque at a
+    /// bounded steady-state capacity, so growth stops after warm-up.
     fn extend(&mut self, vs: impl Iterator<Item = i64>) {
         self.buf.extend(vs);
     }
@@ -235,9 +232,10 @@ enum SignalStore {
 
 /// The decision-side state of one detector session: the classifier, the
 /// signal store, the alignment queue, and the event bookkeeping —
-/// everything downstream of the five stages. Shared verbatim by the scalar
-/// [`StreamingQrsDetector`] and every lane of a [`crate::LaneBank`], so
-/// the two paths cannot drift.
+/// everything downstream of the five stages. Every lane of a
+/// [`LaneBank`] owns one, and the reference chain
+/// ([`crate::stages::detect_reference`]) drives the same type, so the
+/// kernels and their oracle cannot drift downstream of the stages.
 #[derive(Debug, Clone)]
 pub(crate) struct DetectorTail {
     classifier: OnlineClassifier,
@@ -282,51 +280,11 @@ impl DetectorTail {
         self.n
     }
 
-    /// Feeds one tick's five stage outputs: stores what the footprint
-    /// retains, mirrors the HPF output into `tap` when requested, and runs
-    /// the classifier on the MWI value.
-    #[inline]
-    pub(crate) fn ingest(
-        &mut self,
-        a: i64,
-        b: i64,
-        c: i64,
-        d: i64,
-        e: i64,
-        tap: Option<&mut Vec<i64>>,
-    ) {
-        // xanalyze: begin-allow(alloc) — the retained-mode store appends by
-        // contract (it *is* the batch-result shape); the bounded ring and
-        // the HPF tap are pruned/cleared by the caller to a constant
-        // window, so growth is amortized to warm-up only.
-        match &mut self.store {
-            SignalStore::Retained(signals) => {
-                signals.lpf.push(a);
-                signals.hpf.push(b);
-                signals.der.push(c);
-                signals.sqr.push(d);
-                signals.mwi.push(e);
-            }
-            SignalStore::Bounded { hpf: ring } => ring.push(b),
-        }
-        if let Some(out) = tap {
-            out.push(b);
-        }
-        // xanalyze: end-allow(alloc)
-        self.n += 1;
-        let mut fresh = std::mem::take(&mut self.fresh);
-        // xanalyze: begin-allow(alloc) — `classifier.push` is the audited
-        // decision kernel entry (threshold.rs), not a container append.
-        self.classifier.push(e, &mut fresh);
-        // xanalyze: end-allow(alloc)
-        self.absorb(&mut fresh);
-        self.fresh = fresh;
-    }
-
-    /// Batched [`DetectorTail::ingest`]: absorbs one lane's column from
-    /// the row-major stage-output matrices `[lpf, hpf, der, sqr, mwi]`
-    /// (`m[t * stride + lane]`, one row per tick), equivalent to calling
-    /// `ingest` once per tick in order.
+    /// Absorbs one lane's column of a block of ticks from the row-major
+    /// stage-output matrices `[lpf, hpf, der, sqr, mwi]` (`m[t * stride +
+    /// lane]`, one row per tick): stores what the footprint retains,
+    /// mirrors the HPF outputs into `tap` when requested, and runs the
+    /// classifier on each MWI value in order.
     ///
     /// Safe to batch because nothing inside the per-sample path reads state
     /// across samples: the store and tap only append, [`OnlineClassifier`]
@@ -341,6 +299,10 @@ impl DetectorTail {
         tap: Option<&mut Vec<i64>>,
     ) {
         let [a, b, c, d, e] = stages;
+        // xanalyze: begin-allow(alloc) — the retained-mode store appends by
+        // contract (it *is* the batch-result shape); the bounded ring and
+        // the HPF tap are pruned/cleared by their owners to a constant
+        // window, so growth is amortized to warm-up only.
         match &mut self.store {
             SignalStore::Retained(signals) => {
                 signals.lpf.extend(a[lane..].iter().step_by(stride));
@@ -356,10 +318,14 @@ impl DetectorTail {
         if let Some(out) = tap {
             out.extend(b[lane..].iter().step_by(stride));
         }
+        // xanalyze: end-allow(alloc)
         let mut fresh = std::mem::take(&mut self.fresh);
         for &v in e[lane..].iter().step_by(stride) {
             self.n += 1;
+            // xanalyze: begin-allow(alloc) — `classifier.push` is the audited
+            // decision kernel entry (threshold.rs), not a container append.
             self.classifier.push(v, &mut fresh);
+            // xanalyze: end-allow(alloc)
             if !fresh.is_empty() {
                 self.absorb(&mut fresh);
             }
@@ -721,198 +687,15 @@ fn take_decision(r: &mut Reader<'_>) -> Result<PeakDecision, SnapshotError> {
     })
 }
 
-/// The mutable half of the state/engine split: one session's stage delay
-/// lines, MWI window, classifier, and alignment/event bookkeeping.
-///
-/// Constructed from a shared [`DetectorEngine`]; the per-session cost is
-/// [`DetectorState::state_bytes`] (~9.4 KB high-water under
-/// [`Footprint::Bounded`]), while configuration and compiled tap tables
-/// are billed once to the engine ([`DetectorEngine::engine_bytes`]).
-#[derive(Debug, Clone)]
-pub struct DetectorState {
-    pub(crate) lpf: LowPassFilter,
-    pub(crate) hpf: HighPassFilter,
-    pub(crate) der: Derivative,
-    pub(crate) sqr: Squarer,
-    pub(crate) mwi: MovingWindowIntegrator,
-    pub(crate) tail: DetectorTail,
-}
-
-impl DetectorState {
-    /// Fresh session state over an engine's compiled programs.
-    #[must_use]
-    pub fn new(engine: &DetectorEngine) -> Self {
-        Self {
-            lpf: LowPassFilter::from_program(Arc::clone(engine.lpf_program())),
-            hpf: HighPassFilter::from_program(Arc::clone(engine.hpf_program())),
-            der: Derivative::from_program(Arc::clone(engine.der_program())),
-            sqr: Squarer::from_program(Arc::clone(engine.sqr_program())),
-            mwi: MovingWindowIntegrator::from_program(Arc::clone(engine.mwi_program())),
-            tail: DetectorTail::new(engine.config()),
-        }
-    }
-
-    /// Samples ingested so far.
-    #[must_use]
-    pub fn samples_seen(&self) -> usize {
-        self.tail.samples_seen()
-    }
-
-    /// Heap bytes owned by this session right now: stage delay lines, the
-    /// signal store (full vectors when retaining, the pruned HPF ring when
-    /// bounded), the classifier's candidate state, and the event queues.
-    /// Excludes everything shared: the engine's programs and the
-    /// process-wide per-tap product tables.
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        fn heap_of<S: Stage>(stage: &S) -> usize {
-            stage.state_bytes().saturating_sub(std::mem::size_of::<S>())
-        }
-        heap_of(&self.lpf)
-            + heap_of(&self.hpf)
-            + heap_of(&self.der)
-            + heap_of(&self.sqr)
-            + heap_of(&self.mwi)
-            + self.tail.heap_bytes()
-    }
-
-    /// Total live per-session state in bytes: the struct plus
-    /// [`DetectorState::heap_bytes`]. Under [`Footprint::Bounded`] this
-    /// stays flat in the record length.
-    #[must_use]
-    pub fn state_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.heap_bytes()
-    }
-
-    /// Resets all per-record state (stages, counters, tail), keeping the
-    /// shared programs.
-    pub(crate) fn reset(&mut self, config: &PipelineConfig) {
-        for stage in [
-            &mut self.lpf as &mut dyn Stage,
-            &mut self.hpf,
-            &mut self.der,
-            &mut self.sqr,
-            &mut self.mwi,
-        ] {
-            stage.reset();
-            stage.reset_counters();
-        }
-        self.tail.reset(config);
-    }
-
-    /// Serializes the full session state: the four stage delay rings
-    /// (rotation-normalized, newest sample first; the squarer is
-    /// stateless), per-stage activity counters, and the decision tail.
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        w.put_seq_i64(&self.lpf.fir().delay_snapshot());
-        w.put_seq_i64(&self.hpf.fir().delay_snapshot());
-        w.put_seq_i64(&self.der.fir().delay_snapshot());
-        w.put_seq_i64(self.mwi.window());
-        for stage in [
-            &self.lpf as &dyn Stage,
-            &self.hpf,
-            &self.der,
-            &self.sqr,
-            &self.mwi,
-        ] {
-            w.put_u64(stage.ops().adds());
-            w.put_u64(stage.ops().muls());
-            w.put_u64(stage.saturations());
-            w.put_u64(stage.add_overflows());
-        }
-        self.tail.encode(w);
-    }
-
-    /// Inverse of [`DetectorState::encode`]: builds a fresh state over the
-    /// engine and loads every serialized field into it. Ring lengths are
-    /// validated against the engine's programs; the priming level and MWI
-    /// cursor are re-derived from the tail's sample count.
-    pub(crate) fn decode(
-        engine: &DetectorEngine,
-        r: &mut Reader<'_>,
-    ) -> Result<Self, SnapshotError> {
-        let lpf_ring = r.take_seq_i64()?;
-        let hpf_ring = r.take_seq_i64()?;
-        let der_ring = r.take_seq_i64()?;
-        let mwi_window = r.take_seq_i64()?;
-        let mut counters = [crate::arith::ArithCounters::default(); 5];
-        for c in &mut counters {
-            let adds = r.take_u64()?;
-            let muls = r.take_u64()?;
-            c.ops.count_adds(adds);
-            c.ops.count_muls(muls);
-            c.mul_saturations = r.take_u64()?;
-            c.add_overflows = r.take_u64()?;
-        }
-        let tail = DetectorTail::decode(engine.config(), r)?;
-        let n = tail.samples_seen();
-
-        let mut state = Self::new(engine);
-        if !state.lpf.fir_mut().load_delay_snapshot(&lpf_ring, n) {
-            return Err(SnapshotError::Corrupt(
-                "LPF delay ring has the wrong length",
-            ));
-        }
-        if !state.hpf.fir_mut().load_delay_snapshot(&hpf_ring, n) {
-            return Err(SnapshotError::Corrupt(
-                "HPF delay ring has the wrong length",
-            ));
-        }
-        if !state.der.fir_mut().load_delay_snapshot(&der_ring, n) {
-            return Err(SnapshotError::Corrupt(
-                "derivative delay ring has the wrong length",
-            ));
-        }
-        if !state.mwi.load_window(&mwi_window, n) {
-            return Err(SnapshotError::Corrupt("MWI window has the wrong length"));
-        }
-        state.lpf.fir_mut().backend_mut().set_counters(counters[0]);
-        state.hpf.fir_mut().backend_mut().set_counters(counters[1]);
-        state.der.fir_mut().backend_mut().set_counters(counters[2]);
-        state.sqr.backend_mut().set_counters(counters[3]);
-        state.mwi.backend_mut().set_counters(counters[4]);
-        state.tail = tail;
-        Ok(state)
-    }
-
-    /// Gathers the stage counters and drains the tail into a final result.
-    pub(crate) fn take_result(&mut self, total_delay: usize) -> DetectionResult {
-        let ops = [
-            self.lpf.ops(),
-            self.hpf.ops(),
-            self.der.ops(),
-            self.sqr.ops(),
-            self.mwi.ops(),
-        ];
-        let saturations = [
-            self.lpf.saturations(),
-            self.hpf.saturations(),
-            self.der.saturations(),
-            self.sqr.saturations(),
-            self.mwi.saturations(),
-        ];
-        let add_overflows = [
-            self.lpf.add_overflows(),
-            self.hpf.add_overflows(),
-            self.der.add_overflows(),
-            self.sqr.add_overflows(),
-            self.mwi.add_overflows(),
-        ];
-        self.tail
-            .take_result(ops, saturations, add_overflows, total_delay)
-    }
-}
-
-/// The push-based five-stage QRS detector: a thin facade over one shared
-/// [`DetectorEngine`] and one [`DetectorState`].
+/// The push-based five-stage QRS detector: a thin facade over a one-lane
+/// [`LaneBank`] on a shared [`DetectorEngine`].
 ///
 /// See the [module docs](self) for the equivalence contract, the memory
 /// policies, and latency bounds, and [`crate::QrsDetector`] for the batch
 /// counterpart.
 #[derive(Debug, Clone)]
 pub struct StreamingQrsDetector {
-    engine: Arc<DetectorEngine>,
-    state: DetectorState,
+    bank: LaneBank,
 }
 
 impl StreamingQrsDetector {
@@ -926,59 +709,46 @@ impl StreamingQrsDetector {
         Self::from_engine(Arc::new(DetectorEngine::new(config)))
     }
 
-    /// Creates a streaming detector with explicit thresholding parameters.
-    #[deprecated(note = "configure via `PipelineConfig::with_threshold`")]
-    #[must_use]
-    pub fn with_threshold(config: PipelineConfig, threshold: ThresholdConfig) -> Self {
-        Self::new(config.with_threshold(threshold))
-    }
-
     /// Creates a session over an already-compiled shared engine. This is
     /// the fleet shape: one [`DetectorEngine`] (configuration + tap
     /// tables, billed once) drives any number of sessions, each paying
-    /// only [`DetectorState::state_bytes`].
+    /// only [`StreamingQrsDetector::state_bytes`].
     #[must_use]
     pub fn from_engine(engine: Arc<DetectorEngine>) -> Self {
-        let state = DetectorState::new(&engine);
-        Self { engine, state }
+        Self {
+            bank: LaneBank::new(engine, 1),
+        }
     }
 
     /// The shared engine this session runs on.
     #[must_use]
     pub fn engine(&self) -> &Arc<DetectorEngine> {
-        &self.engine
-    }
-
-    /// Overrides the maximum tolerated HPF↔MWI misalignment (samples).
-    #[deprecated(note = "configure via `PipelineConfig::with_max_misalignment`")]
-    #[must_use]
-    pub fn with_max_misalignment(self, samples: usize) -> Self {
-        Self::new(self.engine.config().with_max_misalignment(samples))
+        self.bank.engine()
     }
 
     /// The pipeline configuration.
     #[must_use]
     pub fn config(&self) -> &PipelineConfig {
-        self.engine.config()
+        self.engine().config()
     }
 
     /// The memory-retention policy this detector runs under.
     #[must_use]
     pub fn footprint(&self) -> Footprint {
-        self.engine.config().footprint()
+        self.config().footprint()
     }
 
     /// Samples pushed so far.
     #[must_use]
     pub fn samples_seen(&self) -> usize {
-        self.state.samples_seen()
+        self.bank.samples_seen(0)
     }
 
     /// Total pipeline group delay in samples (MWI coordinates − raw
     /// coordinates); 37 for the paper's stages.
     #[must_use]
     pub fn total_delay(&self) -> usize {
-        self.engine.total_delay()
+        self.engine().total_delay()
     }
 
     /// Worst-case samples between an R-peak's MWI-signal position and the
@@ -992,7 +762,7 @@ impl StreamingQrsDetector {
     pub fn max_event_lag(&self) -> usize {
         // Candidate finality vs. alignment-window completion — whichever
         // bound binds.
-        let finality = self.engine.config().threshold().peak_spacing + 1;
+        let finality = self.config().threshold().peak_spacing + 1;
         let alignment = (ALIGNMENT_SEARCH + 1).saturating_sub(HPF_TO_MWI_DELAY);
         finality.max(alignment)
     }
@@ -1001,17 +771,19 @@ impl StreamingQrsDetector {
     /// window plus the classifier's minimum-signal-length gate.
     #[must_use]
     pub fn startup_samples(&self) -> usize {
-        let threshold = self.engine.config().threshold();
+        let threshold = self.config().threshold();
         threshold.learning.max(2 * threshold.peak_spacing + 1)
     }
 
-    /// Heap bytes owned by this detector right now — see
-    /// [`DetectorState::heap_bytes`]. Excludes the shared engine and the
-    /// process-wide per-tap product tables; see
+    /// Heap bytes owned by this detector right now: the lane's stage
+    /// state, the signal store (full vectors when
+    /// retaining, the pruned HPF ring when bounded), the classifier's
+    /// candidate state, and the event queues. Excludes the shared engine
+    /// and the process-wide per-tap product tables; see
     /// [`StreamingQrsDetector::shared_table_bytes`].
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        self.state.heap_bytes()
+        self.state_bytes() - std::mem::size_of::<Self>()
     }
 
     /// Total live per-session state in bytes: the facade struct plus
@@ -1023,7 +795,7 @@ impl StreamingQrsDetector {
     /// once per configuration, not per session.
     #[must_use]
     pub fn state_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.heap_bytes()
+        self.bank.state_bytes()
     }
 
     /// Bytes of the distinct shared per-tap product tables the FIR stages
@@ -1035,7 +807,7 @@ impl StreamingQrsDetector {
     /// [`StreamingQrsDetector::state_bytes`] for honesty.
     #[must_use]
     pub fn shared_table_bytes(&self) -> usize {
-        self.engine.shared_table_bytes()
+        self.engine().shared_table_bytes()
     }
 
     /// Convenience driver: streams a whole record through a fresh detector
@@ -1043,7 +815,7 @@ impl StreamingQrsDetector {
     /// plus the final result. One-stop equivalent of
     /// `new(config)` + repeated [`StreamingQrsDetector::push`] +
     /// [`StreamingQrsDetector::finish`] — used by the evaluator, the bench
-    /// gate, and the equivalence tests so the drive loop exists once.
+    /// gates, and the equivalence tests so the drive loop exists once.
     #[must_use]
     pub fn detect_chunked(
         config: PipelineConfig,
@@ -1063,7 +835,7 @@ impl StreamingQrsDetector {
     /// Feeds a chunk of raw samples (any size, down to one) and returns
     /// the events that became final.
     pub fn push(&mut self, chunk: &[i32]) -> Vec<StreamEvent> {
-        self.push_impl(chunk, None)
+        self.bank.push_solo(chunk, None)
     }
 
     /// Like [`StreamingQrsDetector::push`], additionally appending the
@@ -1074,32 +846,7 @@ impl StreamingQrsDetector {
     /// record-batched path streams the HPF tap into a reusable scratch
     /// buffer instead of retaining five full signals per detector.
     pub fn push_tapped(&mut self, chunk: &[i32], hpf_out: &mut Vec<i64>) -> Vec<StreamEvent> {
-        self.push_impl(chunk, Some(hpf_out))
-    }
-
-    fn push_impl(&mut self, chunk: &[i32], mut tap: Option<&mut Vec<i64>>) -> Vec<StreamEvent> {
-        let shift = self.engine.config().input_shift;
-        let max_misalignment = self.engine.config().max_misalignment();
-        let DetectorState {
-            lpf,
-            hpf,
-            der,
-            sqr,
-            mwi,
-            tail,
-        } = &mut self.state;
-        for &x in chunk {
-            let x = i64::from(x) << shift;
-            let a = lpf.process(x);
-            let b = hpf.process(a);
-            let c = der.process(b);
-            let d = sqr.process(c);
-            let e = mwi.process(d);
-            tail.ingest(a, b, c, d, e, tap.as_deref_mut());
-        }
-        let mut events = Vec::new();
-        tail.settle(false, max_misalignment, &mut events);
-        events
+        self.bank.push_solo(chunk, Some(hpf_out))
     }
 
     /// Ends the stream: flushes the classifier and the alignment queue
@@ -1115,7 +862,7 @@ impl StreamingQrsDetector {
     /// identical to the retaining mode's, carries the beats).
     #[must_use]
     pub fn finish(mut self) -> (Vec<StreamEvent>, DetectionResult) {
-        self.finish_in_place()
+        self.bank.finish_lane(0)
     }
 
     /// Like [`StreamingQrsDetector::finish`], but leaves the detector
@@ -1128,34 +875,19 @@ impl StreamingQrsDetector {
     /// buffers) drives an entire corpus.
     #[must_use]
     pub fn finish_reset(&mut self) -> (Vec<StreamEvent>, DetectionResult) {
-        let out = self.finish_in_place();
-        self.reset();
-        out
-    }
-
-    /// Resets all per-record state (stages, counters, classifier, stores,
-    /// queues), keeping the shared engine.
-    fn reset(&mut self) {
-        let config = *self.engine.config();
-        self.state.reset(&config);
-    }
-
-    fn finish_in_place(&mut self) -> (Vec<StreamEvent>, DetectionResult) {
-        let mut events = Vec::new();
-        let max_misalignment = self.engine.config().max_misalignment();
-        self.state.tail.finish(max_misalignment, &mut events);
-        let result = self.state.take_result(self.engine.total_delay());
-        (events, result)
+        self.bank.finish_lane(0)
     }
 
     /// Serializes the complete live session state into a versioned,
-    /// endian-fixed blob (see [`crate::snapshot`] for the format). The
-    /// blob captures everything [`StreamingQrsDetector::state_bytes`]
-    /// accounts for — delay rings, the classifier's adaptive state,
-    /// the footprint's signal store, per-stage counters — so that
-    /// [`StreamingQrsDetector::restore`] on any host resumes the stream
-    /// bit-identically: same future events, same decisions, same final
-    /// counters as the uninterrupted run.
+    /// endian-fixed blob (see [`crate::snapshot`] for the format) — the
+    /// lane codec's [`LaneBank::snapshot_lane`] on this detector's one
+    /// lane. The blob captures everything
+    /// [`StreamingQrsDetector::state_bytes`] accounts for — delay rings,
+    /// the classifier's adaptive state, the footprint's signal store,
+    /// per-stage counters — so that [`StreamingQrsDetector::restore`] on
+    /// any host, or [`LaneBank::restore_lane`] into any bank, resumes the
+    /// stream bit-identically: same future events, same decisions, same
+    /// final counters as the uninterrupted run.
     ///
     /// Snapshots may be taken at any `push` boundary, including inside the
     /// warmup/learning window.
@@ -1164,35 +896,26 @@ impl StreamingQrsDetector {
     ///
     /// [`SnapshotError::Finished`] if the session was already finished.
     pub fn snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
-        if self.state.tail.is_finished() {
-            return Err(SnapshotError::Finished);
-        }
-        let mut w = Writer::new();
-        self.state.encode(&mut w);
-        Ok(snapshot::seal(
-            self.engine.config().fingerprint(),
-            &w.into_body(),
-        ))
+        self.bank.snapshot_lane(0)
     }
 
     /// Rebuilds a live session from a [`StreamingQrsDetector::snapshot`]
-    /// blob over a shared engine. The engine's configuration must be the
-    /// one the blob was taken under (checked via
-    /// [`crate::PipelineConfig::fingerprint`]); the restored session then
-    /// continues exactly where the source left off.
+    /// (or [`LaneBank::snapshot_lane`]) blob over a shared engine. The
+    /// engine's configuration must be the one the blob was taken under
+    /// (checked via [`crate::PipelineConfig::fingerprint`]); the restored
+    /// session then continues exactly where the source left off.
     ///
     /// # Errors
     ///
-    /// Any [`SnapshotError`]: truncated or tampered blobs, wrong codec
-    /// version, wrong configuration, or a structurally invalid body. On
-    /// error nothing is constructed; corrupt input can never produce a
-    /// silently-diverging detector.
+    /// Any [`SnapshotError`] of [`LaneBank::restore_lane`]: truncated or
+    /// tampered blobs, wrong codec version, wrong configuration, or a
+    /// structurally invalid body — including per-stage op counts that
+    /// disagree with the sample count. On error nothing is constructed;
+    /// corrupt input can never produce a silently-diverging detector.
     pub fn restore(engine: Arc<DetectorEngine>, blob: &[u8]) -> Result<Self, SnapshotError> {
-        let body = snapshot::open(blob, engine.config().fingerprint())?;
-        let mut r = Reader::new(body);
-        let state = DetectorState::decode(&engine, &mut r)?;
-        r.finish()?;
-        Ok(Self { engine, state })
+        let mut bank = LaneBank::new(engine, 1);
+        bank.restore_lane(0, blob)?;
+        Ok(Self { bank })
     }
 }
 
@@ -1613,10 +1336,10 @@ mod tests {
         }
     }
 
-    /// Satellite 4: hostile blobs — truncations at every prefix length,
+    /// Hostile blobs — truncations at every prefix length,
     /// bit flips in header and body, a bumped version, the wrong config —
-    /// fail with typed errors and never construct a detector; a finished
-    /// session refuses to snapshot.
+    /// fail with typed errors and never construct a detector; a reset
+    /// session snapshots again.
     #[test]
     fn hostile_blobs_fail_typed_and_finished_sessions_refuse() {
         let signal = pulse_train(1400, 170, 200);
@@ -1664,12 +1387,46 @@ mod tests {
         padded.push(0);
         assert!(StreamingQrsDetector::restore(Arc::clone(&engine), &padded).is_err());
 
-        // A finished session refuses to snapshot; after `finish_reset` the
-        // fresh session snapshots again.
+        // After `finish_reset` the fresh session snapshots again.
         let (_, _) = det.finish_reset();
         let _ = det.push(&signal[..64]);
         assert!(det.snapshot().is_ok(), "reset session must snapshot again");
-        let _ = det.finish_in_place();
-        assert!(matches!(det.snapshot(), Err(SnapshotError::Finished)));
+    }
+
+    /// Skips one length-prefixed `i64` sequence of a snapshot body.
+    fn skip_seq(body: &[u8], at: usize) -> usize {
+        let len = u64::from_le_bytes(body[at..at + 8].try_into().expect("8 bytes"));
+        at + 8 + 8 * len as usize
+    }
+
+    /// A blob whose per-stage op counts disagree with its sample count is
+    /// corrupt. The body starts with the four delay rings, then one
+    /// `(adds, muls, saturations, overflows)` quad per stage; bumping the
+    /// LPF `muls` counter and re-sealing with a valid FNV-1a checksum must
+    /// still be refused — the blob passes every container check, so only
+    /// the op-count validation can catch it.
+    #[test]
+    fn op_count_tampered_blob_is_refused() {
+        let signal = pulse_train(1400, 170, 200);
+        let engine = Arc::new(DetectorEngine::new(PipelineConfig::exact()));
+        let mut det = StreamingQrsDetector::from_engine(Arc::clone(&engine));
+        let _ = det.push(&signal);
+        let blob = det.snapshot().expect("snapshot");
+
+        let header = crate::snapshot::HEADER_BYTES;
+        let mut body = blob[header..].to_vec();
+        let rings_end = (0..4).fold(0, |at, _| skip_seq(&body, at));
+        let lpf_muls = rings_end + 8;
+        let muls = u64::from_le_bytes(body[lpf_muls..lpf_muls + 8].try_into().expect("8 bytes"));
+        assert_eq!(muls, 11 * 1400, "LPF muls sit after the LPF adds");
+        body[lpf_muls..lpf_muls + 8].copy_from_slice(&(muls + 1).to_le_bytes());
+        let mut forged = blob[..header].to_vec();
+        forged[24..32].copy_from_slice(&crate::snapshot::fnv1a(&body).to_le_bytes());
+        forged.extend_from_slice(&body);
+
+        assert!(matches!(
+            StreamingQrsDetector::restore(engine, &forged),
+            Err(SnapshotError::Corrupt(_))
+        ));
     }
 }

@@ -11,9 +11,8 @@
 //! on already-seen samples and already-classified candidate peaks (the seed
 //! thresholds need the learning window, a candidate needs `peak_spacing`
 //! trailing samples to become final, and search-back revisits only *past*
-//! candidates). [`OnlineClassifier`] is that incremental form — the batch
-//! [`AdaptiveThreshold::classify`] is a thin wrapper that pushes the whole
-//! signal through one and sorts the result, so the two paths cannot drift.
+//! candidates). [`OnlineClassifier`] is that incremental form, and the only
+//! one: every detector's decision tail runs it, batch detection included.
 
 use std::fmt;
 
@@ -155,107 +154,6 @@ impl fmt::Display for PeakDecision {
     }
 }
 
-/// The adaptive-threshold QRS classifier.
-///
-/// # Example
-///
-/// ```
-/// use pan_tompkins::{AdaptiveThreshold, ThresholdConfig};
-///
-/// // A pulse train with QRS-like energy every 160 samples.
-/// let mut mwi = vec![10i64; 2000];
-/// for beat in 0..12 {
-///     let at = 100 + beat * 160;
-///     for (offset, slot) in mwi[at..at + 12].iter_mut().enumerate() {
-///         *slot = 2000 - 120 * (offset as i64 - 6).abs();
-///     }
-/// }
-/// let detector = AdaptiveThreshold::new(ThresholdConfig::default());
-/// let peaks = detector.detect(&mwi);
-/// assert_eq!(peaks.len(), 12);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct AdaptiveThreshold {
-    config: ThresholdConfig,
-    decision: DecisionArith,
-}
-
-impl AdaptiveThreshold {
-    /// Creates a classifier with the given parameters (and the default
-    /// [`DecisionArith::Fixed`] decision arithmetic).
-    #[must_use]
-    pub fn new(config: ThresholdConfig) -> Self {
-        Self {
-            config,
-            decision: DecisionArith::default(),
-        }
-    }
-
-    /// Creates a classifier from a pipeline configuration — the single
-    /// source of truth for the timing parameters
-    /// ([`PipelineConfig::with_threshold`]) and decision arithmetic
-    /// ([`PipelineConfig::with_decision`]).
-    #[must_use]
-    pub fn for_config(config: &PipelineConfig) -> Self {
-        Self {
-            config: config.threshold(),
-            decision: config.decision(),
-        }
-    }
-
-    /// Selects the decision arithmetic (see [`crate::decision`]).
-    #[deprecated(note = "configure via `PipelineConfig::with_decision` and build with \
-                `AdaptiveThreshold::for_config`")]
-    #[must_use]
-    pub fn with_decision(mut self, decision: DecisionArith) -> Self {
-        self.decision = decision;
-        self
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &ThresholdConfig {
-        &self.config
-    }
-
-    /// The decision arithmetic classifications run in.
-    #[must_use]
-    pub fn decision(&self) -> DecisionArith {
-        self.decision
-    }
-
-    /// Detects QRS positions in an integrated (MWI-output) signal.
-    ///
-    /// Convenience over [`AdaptiveThreshold::classify`]: returns only the
-    /// accepted QRS indices.
-    #[must_use]
-    pub fn detect(&self, signal: &[i64]) -> Vec<usize> {
-        self.classify(signal)
-            .into_iter()
-            .filter(|d| matches!(d.class, PeakClass::Qrs | PeakClass::SearchBack))
-            .map(|d| d.index)
-            .collect()
-    }
-
-    /// Classifies every candidate peak in the signal.
-    ///
-    /// This is the batch entry point: it pushes the whole signal through an
-    /// [`OnlineClassifier`] (which is the implementation — there is no
-    /// separate batch decision path) and sorts the emitted decisions by
-    /// index.
-    #[must_use]
-    pub fn classify(&self, signal: &[i64]) -> Vec<PeakDecision> {
-        let mut online = OnlineClassifier::build(self.config, Footprint::Retain, self.decision);
-        let mut decisions = Vec::new();
-        for &x in signal {
-            online.push(x, &mut decisions);
-        }
-        online.finish(&mut decisions);
-        decisions.sort_by_key(|d| d.index);
-        decisions
-    }
-}
-
 /// Trailing samples the online classifier must retain for a slope window
 /// of `w` first differences: the `w + 1` samples of
 /// [`OnlineClassifier::slope_at`] plus the one-sample local-maximum
@@ -293,9 +191,9 @@ struct Candidate {
 ///   missed beat is only *discovered* while classifying the next beat, so
 ///   their latency is one RR interval rather than a constant.
 ///
-/// Decisions are emitted in classification order, which is the batch
-/// pre-sort order: collecting them and sorting by index reproduces
-/// [`AdaptiveThreshold::classify`] exactly. Memory: a slope-window-sized
+/// Decisions are emitted in classification order; collecting them and
+/// sorting by index gives the batch decision list of
+/// [`crate::DetectionResult::decisions`]. Memory: a slope-window-sized
 /// sample ring (16 samples at 200 Hz: slope window + lookahead,
 /// rounded to a power of two) plus the candidate-peak list
 /// (search-back may revisit any inter-beat candidate, which is also why
@@ -390,37 +288,8 @@ impl OnlineClassifier {
         Self::build(config.threshold(), config.footprint(), config.decision())
     }
 
-    /// Creates an incremental classifier with an explicit retention policy.
-    #[deprecated(
-        note = "configure via `PipelineConfig::with_footprint` and build with \
-                `OnlineClassifier::for_config`"
-    )]
-    #[must_use]
-    pub fn with_retention(config: ThresholdConfig, retention: Footprint) -> Self {
-        Self::build(config, retention, DecisionArith::default())
-    }
-
-    /// Creates an incremental classifier with an explicit retention policy
-    /// *and* decision arithmetic.
-    #[deprecated(
-        note = "configure via `PipelineConfig::with_footprint`/`with_decision` \
-                and build with `OnlineClassifier::for_config`"
-    )]
-    #[must_use]
-    pub fn with_options(
-        config: ThresholdConfig,
-        retention: Footprint,
-        decision: DecisionArith,
-    ) -> Self {
-        Self::build(config, retention, decision)
-    }
-
     /// The one real constructor every public entry point delegates to.
-    pub(crate) fn build(
-        config: ThresholdConfig,
-        retention: Footprint,
-        decision: DecisionArith,
-    ) -> Self {
+    fn build(config: ThresholdConfig, retention: Footprint, decision: DecisionArith) -> Self {
         Self {
             config,
             retention,
@@ -896,7 +765,7 @@ mod tests {
 
     /// The original batch implementation, kept verbatim as the oracle the
     /// online classifier is checked against: every decision of
-    /// [`AdaptiveThreshold::classify`] must match this, sample for sample.
+    /// [`Batch::classify`] must match this, sample for sample.
     mod reference {
         use super::super::*;
 
@@ -1061,12 +930,39 @@ mod tests {
 
     use reference::local_maxima;
 
-    /// Classifier with explicit decision arithmetic, via the config path
-    /// (the deprecated `with_decision` builder is exercised only in
-    /// `deprecated_builders_delegate_to_config_paths`).
-    fn thresh(cfg: ThresholdConfig, arith: DecisionArith) -> AdaptiveThreshold {
-        AdaptiveThreshold::for_config(
-            &PipelineConfig::exact()
+    /// Whole-signal classification: one retaining [`OnlineClassifier`]
+    /// over the signal, decisions sorted by index.
+    struct Batch(PipelineConfig);
+
+    impl Batch {
+        fn new(cfg: ThresholdConfig) -> Self {
+            Self(PipelineConfig::exact().with_threshold(cfg))
+        }
+
+        fn classify(&self, signal: &[i64]) -> Vec<PeakDecision> {
+            let mut online = OnlineClassifier::for_config(&self.0);
+            let mut decisions = Vec::new();
+            signal.iter().for_each(|&x| online.push(x, &mut decisions));
+            online.finish(&mut decisions);
+            decisions.sort_by_key(|d| d.index);
+            decisions
+        }
+
+        fn detect(&self, signal: &[i64]) -> Vec<usize> {
+            let accepted =
+                |d: &PeakDecision| matches!(d.class, PeakClass::Qrs | PeakClass::SearchBack);
+            self.classify(signal)
+                .into_iter()
+                .filter(accepted)
+                .map(|d| d.index)
+                .collect()
+        }
+    }
+
+    /// Batch classifier with explicit decision arithmetic.
+    fn thresh(cfg: ThresholdConfig, arith: DecisionArith) -> Batch {
+        Batch(
+            PipelineConfig::exact()
                 .with_threshold(cfg)
                 .with_decision(arith),
         )
@@ -1101,7 +997,7 @@ mod tests {
     fn detects_regular_beats() {
         let positions: Vec<usize> = (0..10).map(|i| 150 + i * 170).collect();
         let s = mwi_signal(2200, &positions, 4000, 20);
-        let det = AdaptiveThreshold::new(ThresholdConfig::default());
+        let det = Batch::new(ThresholdConfig::default());
         let peaks = det.detect(&s);
         assert_eq!(peaks.len(), 10, "found {peaks:?}");
     }
@@ -1114,7 +1010,7 @@ mod tests {
         for i in (300..1900).step_by(200) {
             s[i] += 200;
         }
-        let det = AdaptiveThreshold::new(ThresholdConfig::default());
+        let det = Batch::new(ThresholdConfig::default());
         let peaks = det.detect(&s);
         assert_eq!(peaks.len(), 8, "noise bumps detected: {peaks:?}");
     }
@@ -1123,7 +1019,7 @@ mod tests {
     fn refractory_suppresses_double_fire() {
         // Two bumps 30 samples apart (inside 200 ms refractory).
         let s = mwi_signal(1500, &[500, 530, 900], 4000, 10);
-        let det = AdaptiveThreshold::new(ThresholdConfig::default());
+        let det = Batch::new(ThresholdConfig::default());
         let peaks = det.detect(&s);
         // The 530 bump must be blanked.
         assert!(
@@ -1142,7 +1038,7 @@ mod tests {
         for (a, b) in s.iter_mut().zip(&weak) {
             *a = (*a).max(*b);
         }
-        let det = AdaptiveThreshold::new(ThresholdConfig::default());
+        let det = Batch::new(ThresholdConfig::default());
         let decisions = det.classify(&s);
         let recovered = decisions
             .iter()
@@ -1169,7 +1065,7 @@ mod tests {
                 s[t + o] = s[t + o].max(v.max(0));
             }
         }
-        let det = AdaptiveThreshold::new(ThresholdConfig::default());
+        let det = Batch::new(ThresholdConfig::default());
         let decisions = det.classify(&s);
         let t_waves = decisions
             .iter()
@@ -1185,14 +1081,14 @@ mod tests {
 
     #[test]
     fn empty_and_tiny_signals_yield_nothing() {
-        let det = AdaptiveThreshold::new(ThresholdConfig::default());
+        let det = Batch::new(ThresholdConfig::default());
         assert!(det.detect(&[]).is_empty());
         assert!(det.detect(&[5; 10]).is_empty());
     }
 
     #[test]
     fn flat_signal_has_no_peaks() {
-        let det = AdaptiveThreshold::new(ThresholdConfig::default());
+        let det = Batch::new(ThresholdConfig::default());
         assert!(det.detect(&[100; 3000]).is_empty());
     }
 
@@ -1210,7 +1106,7 @@ mod tests {
     fn classify_reports_sorted_decisions() {
         let positions: Vec<usize> = (0..6).map(|i| 150 + i * 180).collect();
         let s = mwi_signal(1400, &positions, 3000, 15);
-        let det = AdaptiveThreshold::new(ThresholdConfig::default());
+        let det = Batch::new(ThresholdConfig::default());
         let decisions = det.classify(&s);
         assert!(decisions.windows(2).all(|w| w[0].index <= w[1].index));
     }
@@ -1368,7 +1264,7 @@ mod tests {
         // 10 beats spaced 306 samples (0.85 s at 360 Hz).
         let positions: Vec<usize> = (0..10).map(|i| 800 + i * 306).collect();
         let s = mwi_signal(4000, &positions, 4000, 20);
-        let det = AdaptiveThreshold::new(cfg);
+        let det = Batch::new(cfg);
         let peaks = det.detect(&s);
         assert_eq!(peaks.len(), 10, "found {peaks:?}");
         // And Float agrees decision-for-decision at this rate too.
@@ -1409,7 +1305,7 @@ mod tests {
         let mut s = vec![4 * a, 3 * a, 2 * a, a, 0, amp];
         s.extend_from_slice(&[0; 6]);
 
-        let fixed = AdaptiveThreshold::new(cfg).classify(&s);
+        let fixed = Batch::new(cfg).classify(&s);
         let float = thresh(cfg, DecisionArith::Float).classify(&s);
         assert_eq!(fixed.len(), 1);
         assert_eq!(float.len(), 1);
@@ -1548,34 +1444,6 @@ mod tests {
             bounded_high_water < 8 * 1024,
             "bounded classifier state hit {bounded_high_water} bytes"
         );
-    }
-
-    /// The deprecated builders still delegate to the config-driven paths
-    /// bit-for-bit — the compatibility contract of the consolidation.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_builders_delegate_to_config_paths() {
-        let cfg = ThresholdConfig::for_fs(360.0);
-        let s = fuzz_signal(5, 1500);
-        assert_eq!(
-            AdaptiveThreshold::new(cfg)
-                .with_decision(DecisionArith::Float)
-                .classify(&s),
-            thresh(cfg, DecisionArith::Float).classify(&s)
-        );
-        let mut old = OnlineClassifier::with_options(cfg, Footprint::Bounded, DecisionArith::Fixed);
-        let mut new = bounded_classifier(cfg);
-        let (mut out_old, mut out_new) = (Vec::new(), Vec::new());
-        for &x in &s {
-            old.push(x, &mut out_old);
-            new.push(x, &mut out_new);
-        }
-        old.finish(&mut out_old);
-        new.finish(&mut out_new);
-        assert_eq!(out_old, out_new);
-        // `with_retention` routes through the same `build`.
-        let retained = OnlineClassifier::with_retention(cfg, Footprint::Retain);
-        assert_eq!(retained.decision(), DecisionArith::Fixed);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 use std::sync::Arc;
 
 use approx_arith::{FullAdderKind, Mult2x2Kind, StageArith};
+use pan_tompkins::stages::detect_reference;
 use pan_tompkins::{
     DecisionArith, DetectionResult, DetectorEngine, Footprint, LaneBank, PipelineConfig,
     QrsDetector, StreamEvent, StreamingQrsDetector,
@@ -163,7 +164,8 @@ proptest! {
 
     /// The lane axis of the contract: every lane of a [`LaneBank`] emits
     /// the same event stream and final result — including every
-    /// operation/saturation/overflow counter — as its solo scalar run, for
+    /// operation/saturation/overflow counter — as the scalar reference
+    /// chain ([`detect_reference`]) over its samples, for
     /// random configurations × lane counts × signals × push granularities
     /// × footprints × decision arithmetic.
     #[test]
@@ -219,7 +221,7 @@ proptest! {
         for (lane, events) in per_lane.iter_mut().enumerate() {
             let (trailing, result) = bank.finish_lane(lane);
             events.extend(trailing);
-            let (solo_events, solo_result) = run_streaming(config, &signals[lane], &[97]);
+            let (solo_events, solo_result) = detect_reference(config, &signals[lane], 97);
             prop_assert_eq!(
                 &*events, &solo_events,
                 "lane {} of {} events diverged for {}", lane, lanes, config

@@ -59,7 +59,7 @@ pub struct ServiceConfig {
     /// Per-shard backpressure watermark: samples accepted but not yet
     /// ingested before `push` starts returning [`ServiceError::Busy`].
     pub inflight_high_water: usize,
-    /// A lane session with nothing pending is demoted to the scalar path
+    /// A lane session with nothing pending is demoted to the solo path
     /// once a bankmate has this many samples queued behind it.
     pub demote_after: usize,
 }
@@ -109,7 +109,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Overrides the starvation threshold for lane→scalar demotion.
+    /// Overrides the starvation threshold for lane→solo demotion.
     #[must_use]
     pub fn with_demote_after(mut self, samples: usize) -> Self {
         self.demote_after = samples.max(1);
@@ -601,7 +601,7 @@ impl Client {
         }
     }
 
-    /// Serializes `id`'s live state through PR 8's snapshot codec,
+    /// Serializes `id`'s live state through the lane snapshot codec,
     /// after ingesting its queued backlog. The session stays open; the
     /// blob restores via [`Client::restore`] (or any other codec
     /// consumer) bit-identically.

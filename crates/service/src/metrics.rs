@@ -41,9 +41,9 @@ pub struct ShardMetrics {
     /// Commands dropped because their generation was stale by the time
     /// the worker saw them.
     pub stale_drops: AtomicU64,
-    /// Lane sessions migrated out to the scalar path (starved lane).
+    /// Lane sessions migrated out to the solo path (starved lane).
     pub demotions: AtomicU64,
-    /// Scalar sessions migrated back into a lane.
+    /// Solo sessions migrated back into a lane.
     pub promotions: AtomicU64,
     /// Push-to-event latency histogram (µs, power-of-two buckets).
     pub latency: LatencyHistogram,
@@ -104,9 +104,9 @@ pub struct ShardMetricsSnapshot {
     pub busy_rejections: u64,
     /// Stale-generation drops.
     pub stale_drops: u64,
-    /// Lane→scalar demotions.
+    /// Lane→solo demotions.
     pub demotions: u64,
-    /// Scalar→lane promotions.
+    /// Solo→lane promotions.
     pub promotions: u64,
     /// Latency histogram bucket counts (µs, power-of-two).
     pub latency: [u64; LATENCY_BUCKETS],

@@ -3,17 +3,18 @@
 //!
 //! Every session on a shard is in one of two execution modes:
 //!
-//! * **Lane** — its [`DetectorState`] lives inside a [`LaneBank`] shared
-//!   with up to `lanes_per_bank - 1` other sessions of the same
+//! * **Lane** — its detector state lives in one lane of a [`LaneBank`]
+//!   shared with up to `lanes_per_bank - 1` other sessions of the same
 //!   [`PipelineConfig`]. A shard tick advances each bank by the minimum
 //!   number of pending samples across its occupied lanes, so the whole
-//!   bank moves through one `LaneBank::push` — the SoA fast path.
-//! * **Solo** — a scalar [`StreamingQrsDetector`]. Sessions land here
-//!   when they starve a bank (no pending samples while a bankmate has
+//!   bank moves through one `LaneBank::push`.
+//! * **Solo** — a [`StreamingQrsDetector`], i.e. a one-lane bank of its
+//!   own that advances at its own pace. Sessions land here when they
+//!   starve a bank (no pending samples while a bankmate has
 //!   `demote_after` or more queued), when they are restored from a
 //!   snapshot, or while a snapshot of them is being taken.
 //!
-//! Sessions migrate between the modes through PR 8's snapshot codec,
+//! Sessions migrate between the modes through the lane snapshot codec,
 //! which both sides share byte-for-byte, so migration is bit-invisible:
 //! the stream of events a session observes is identical to what a solo
 //! detector fed the same chunks would emit. Unoccupied lanes are fed
@@ -483,7 +484,7 @@ impl ShardWorker {
         Ok(())
     }
 
-    /// Feeds every pending sample of a solo session through its scalar
+    /// Feeds every pending sample of a solo session through its one-lane
     /// detector, emitting events. No-op for lane sessions.
     fn drain_solo_fully(&mut self, slot: usize) {
         loop {
@@ -581,7 +582,7 @@ impl ShardWorker {
             }
         }
         // A snapshot reflects every sample pushed before it: migrate to
-        // the scalar path and ingest the backlog first.
+        // the solo path and ingest the backlog first.
         if let Err(e) = self.demote(slot) {
             let _ = reply.try_send(Err(ServiceError::Snapshot(e)));
             return;
@@ -817,7 +818,7 @@ impl ShardWorker {
                 };
                 let end = (chunk.pos + budget).min(chunk.samples.len());
                 // xanalyze: begin-allow(alloc) — `StreamingQrsDetector::push`
-                // is the audited scalar-pipeline entry point, not a
+                // is the audited one-lane-bank entry point, not a
                 // container append.
                 let evs = det.push(&chunk.samples[chunk.pos..end]);
                 // xanalyze: end-allow(alloc)

@@ -9,7 +9,9 @@ use std::collections::HashMap;
 use std::sync::mpsc::Receiver;
 
 use approx_arith::{FullAdderKind, Mult2x2Kind, StageArith};
-use pan_tompkins::{DetectionResult, Footprint, PipelineConfig, StreamEvent, StreamingQrsDetector};
+use pan_tompkins::{
+    DetectionResult, Footprint, PipelineConfig, SnapshotError, StreamEvent, StreamingQrsDetector,
+};
 use proptest::prelude::*;
 use service::{ServiceConfig, ServiceError, SessionHub, SessionId, SessionOutput};
 
@@ -369,6 +371,61 @@ fn snapshot_restore_round_trip() {
         Err(ServiceError::Snapshot(_))
     ));
     assert_eq!(client2.metrics().sessions_live(), 0);
+}
+
+/// Re-seals a snapshot with its LPF `muls` counter bumped by one. The body
+/// (after the 32-byte header) opens with the four delay rings, each a
+/// `u64` length plus that many `i64`s, followed by one `(adds, muls,
+/// saturations, overflows)` quad per stage; the header's last eight bytes
+/// are the FNV-1a checksum of the body.
+fn bump_lpf_muls(blob: &[u8]) -> Vec<u8> {
+    const HEADER: usize = 32;
+    let word = |b: &[u8], at: usize| {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(&b[at..at + 8]);
+        u64::from_le_bytes(w)
+    };
+    let mut body = blob[HEADER..].to_vec();
+    let rings_end = (0..4).fold(0, |at, _| at + 8 + 8 * word(&body, at) as usize);
+    let lpf_muls = rings_end + 8;
+    let bumped = word(&body, lpf_muls) + 1;
+    body[lpf_muls..lpf_muls + 8].copy_from_slice(&bumped.to_le_bytes());
+    let checksum = body.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    let mut forged = blob[..HEADER].to_vec();
+    forged[24..HEADER].copy_from_slice(&checksum.to_le_bytes());
+    forged.extend_from_slice(&body);
+    forged
+}
+
+/// A blob whose per-stage op counts disagree with its sample count passes
+/// every container check once re-sealed; the codec must still refuse it,
+/// and the hub must hand the client-minted slot back — on a one-session
+/// shard, the clean blob then restores into the freed slot.
+#[test]
+fn op_count_tampered_restore_is_refused_and_rolled_back() {
+    let config = PipelineConfig::exact();
+    let hub = SessionHub::new(
+        ServiceConfig::default()
+            .with_shards(1)
+            .with_max_sessions_per_shard(1),
+    );
+    let client = hub.client();
+    let mut det = StreamingQrsDetector::new(config);
+    let _ = det.push(&record_samples(3, 1400));
+    let blob = det.snapshot().expect("snapshot");
+
+    assert!(matches!(
+        client.restore(config, &bump_lpf_muls(&blob)),
+        Err(ServiceError::Snapshot(SnapshotError::Corrupt(_)))
+    ));
+    assert_eq!(client.metrics().sessions_live(), 0);
+    let id = client
+        .restore(config, &blob)
+        .expect("the rolled-back slot takes the clean blob");
+    client.close(id).expect("close");
+    let _ = hub.shutdown();
 }
 
 /// The backpressure watermark actually rejects: a hub with a tiny

@@ -26,8 +26,8 @@
 //!   sessions into lane banks behind one client API.
 //!
 //! For everyday use, `use xbiosip_repro::prelude::*;` pulls in the one
-//! obvious import surface: the detector and its engine/state split, the
-//! lane bank, the session hub, the config builders, the snapshot types,
+//! obvious import surface: the detector and its shared engine, the lane
+//! bank, the session hub, the config builders, the snapshot types,
 //! and the evaluation entry points.
 //!
 //! See `README.md` for a tour and `EXPERIMENTS.md` for the paper-vs-measured
@@ -46,9 +46,10 @@ pub use xbiosip;
 /// Everything a deployment-shaped caller needs in a single glob:
 ///
 /// * **Detection** — [`QrsDetector`] / [`DetectionResult`] batch runs,
-///   [`StreamingQrsDetector`] with its compiled [`DetectorEngine`] and
-///   per-session [`DetectorState`] split, [`StreamEvent`]s, and the
-///   multi-lane [`LaneBank`].
+///   [`StreamingQrsDetector`] over a compiled, shareable
+///   [`DetectorEngine`], [`StreamEvent`]s, and the multi-lane
+///   [`LaneBank`]. All three run one datapath: a streaming detector is a
+///   one-lane bank, and a batch run is one retaining push of it.
 /// * **Configuration** — [`PipelineConfig`] and its stage/threshold
 ///   builders, [`StageKind`], [`Footprint`], [`DecisionArith`].
 /// * **Persistence** — [`SnapshotError`] and the snapshot codec riding on
@@ -60,8 +61,8 @@ pub use xbiosip;
 ///   [`QualityReport`], [`QualityConstraint`].
 pub mod prelude {
     pub use pan_tompkins::{
-        DecisionArith, DetectionResult, DetectorEngine, DetectorState, Footprint, LaneBank,
-        PipelineConfig, QrsDetector, SnapshotError, StageKind, StreamEvent, StreamingQrsDetector,
+        DecisionArith, DetectionResult, DetectorEngine, Footprint, LaneBank, PipelineConfig,
+        QrsDetector, SnapshotError, StageKind, StreamEvent, StreamingQrsDetector,
     };
     pub use service::{
         Client, HubMetrics, PushError, ServiceConfig, ServiceError, SessionEvent, SessionHub,
